@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench bench-core bench-compare bench-serve serve serve-pprof metrics-smoke crash-smoke fabric-smoke skip-smoke cache-smoke sse-smoke table1 fig5 faults examples vet fmt clean
+.PHONY: all build test test-race race bench bench-pair bench-smoke bench-core bench-compare bench-serve serve serve-pprof metrics-smoke crash-smoke fabric-smoke skip-smoke cache-smoke sse-smoke table1 fig5 faults examples vet fmt clean
 
 all: vet test build
 
@@ -27,6 +27,39 @@ test-race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-pair is the paired parent-against-change recipe of bench/README.md
+# ("Comparing two sets of runs") as one command: it builds ./bench at
+# PARENT (any git ref, exported with git archive) and at the working tree
+# into .bench_build/, runs seeds 1-10 of every workload on both, the side
+# that goes first alternating with the seed, and judges the two result
+# files against the bounds in BENCHMARK.json. About 40 minutes; BENCH_FLAGS
+# passes flags through to every run (e.g. BENCH_FLAGS='-workload table1').
+bench-pair:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pair PARENT=<git ref>"; exit 2; }
+	rm -rf .bench_build/parent .bench_build/parent.json .bench_build/change.json
+	mkdir -p .bench_build/parent
+	git archive $(PARENT) | tar -x -C .bench_build/parent
+	cd .bench_build/parent && $(GO) build -o ../bench-parent ./bench
+	$(GO) build -o .bench_build/bench-change ./bench
+	for seed in 1 2 3 4 5 6 7 8 9 10; do \
+		if [ $$((seed % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			.bench_build/bench-$$side -seed $$seed -out .bench_build/$$side.json $(BENCH_FLAGS) || exit 1; \
+		done; \
+	done
+	$(GO) run ./bench -compare .bench_build/parent.json .bench_build/change.json
+
+# bench-smoke runs all six benchmark workloads at 1/64 scale for a second
+# each, so the benchmark's own in-run checks (digests against an untimed
+# reference run, the ledger identities, failed jobs) gate a push. A failed
+# check does not change the benchmark's exit status, only its result
+# line, so the target looks for that.
+bench-smoke:
+	mkdir -p .bench_out
+	$(GO) run ./bench -scale 64 -seconds 1 > .bench_out/smoke.out || { cat .bench_out/smoke.out; exit 1; }
+	@cat .bench_out/smoke.out
+	@! grep -q '"correct":false' .bench_out/smoke.out
 
 # bench-core measures the engine hot path — the four Table I
 # configurations (cycles/sec), the saturated clock loop (allocs/op) with

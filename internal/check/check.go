@@ -10,7 +10,8 @@
 //   - queue occupancy never exceeds the configured depth
 //   - crossbar/vault request queues hold only request packets, response
 //     queues only response packets
-//   - packets in a vault's request queue actually decode to that vault
+//   - packets in a vault's request queue actually decode to that vault,
+//     and a bank cached in their slot is the bank they decode to
 //   - source link IDs fit the device's link range
 //   - destination cube IDs are devices or the host
 package check
@@ -45,7 +46,8 @@ func Verify(h *core.HMC) error {
 			}
 			// Vault request queues only hold packets for this vault.
 			for i := 0; i < v.RqstQ.Len(); i++ {
-				p := v.RqstQ.At(i).Packet
+				s := v.RqstQ.At(i)
+				p := s.Packet
 				if p.Cmd().IsMode() {
 					return fmt.Errorf("check: %s slot %d holds a mode request", name, i)
 				}
@@ -55,6 +57,9 @@ func Verify(h *core.HMC) error {
 				}
 				if dec.Bank < 0 || dec.Bank >= cfg.NumBanks {
 					return fmt.Errorf("check: %s slot %d bank %d out of range", name, i, dec.Bank)
+				}
+				if bank, ok := s.Bank(); ok && bank != dec.Bank {
+					return fmt.Errorf("check: %s slot %d caches bank %d, packet decodes to bank %d", name, i, bank, dec.Bank)
 				}
 			}
 			if err := verifyQueue(v.RspQ, fmt.Sprintf("dev %d vault %d rsp", cube, vi), false, cfg); err != nil {

@@ -146,6 +146,30 @@ func TestVerifyDetectsForeignVaultPacket(t *testing.T) {
 	}
 }
 
+func TestVerifyDetectsStaleCachedBank(t *testing.T) {
+	h := newSimple(t)
+	_ = h.Clock()
+	p, err := packet.BuildRequest(packet.Request{CUB: 0, Addr: 0 /* vault 0, bank 0 */, Cmd: packet.CmdRD16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := h.Device(0).Vaults[0].RqstQ
+	if err := q.Push(&p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(h); err != nil {
+		t.Fatalf("slot without a cached bank rejected: %v", err)
+	}
+	q.At(0).SetBank(0)
+	if err := Verify(h); err != nil {
+		t.Fatalf("correctly cached bank rejected: %v", err)
+	}
+	q.At(0).SetBank(5)
+	if err := Verify(h); err == nil {
+		t.Error("cached bank that disagrees with the packet's address not detected")
+	}
+}
+
 func TestVerifyDetectsResponseInRequestQueue(t *testing.T) {
 	h := newSimple(t)
 	_ = h.Clock()

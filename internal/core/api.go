@@ -49,7 +49,10 @@ func (h *HMC) BuildRequestPacket(req packet.Request, link int) ([]uint64, error)
 // nextSeq draws the rolling 3-bit sequence number for a link. The counter
 // advances even when the subsequent Send stalls — the per-link sequence
 // reflects build order, not acceptance order — so digest-pinned runs must
-// preserve every draw.
+// preserve every draw. SendRequest draws after its device and link range
+// checks (a call that names no link perturbs none) and before its
+// host-link, link-down, link-failed and stall rejections, whose
+// draw-on-rejection order the fault and stall digests pin.
 func (h *HMC) nextSeq(link int) uint8 {
 	if link < 0 || link >= len(h.seq) {
 		return 0
@@ -67,8 +70,6 @@ func (h *HMC) nextSeq(link int) uint8 {
 // ErrLinkFailed when the transfer trips a hard link failure. Flow packets
 // are not accepted; use Send for those.
 func (h *HMC) SendRequest(dev, link int, req packet.Request) error {
-	req.SLID = uint8(link)
-	req.Seq = h.nextSeq(link)
 	if err := h.seal(); err != nil {
 		return err
 	}
@@ -79,6 +80,10 @@ func (h *HMC) SendRequest(dev, link int, req packet.Request) error {
 	if link < 0 || link >= len(d.Links) {
 		return fmt.Errorf("%w: link %d", ErrRange, link)
 	}
+	// A call naming no link of this object draws nothing; every later
+	// rejection does (see nextSeq), so the draw sits exactly here.
+	req.SLID = uint8(link)
+	req.Seq = h.nextSeq(link)
 	l := &d.Links[link]
 	if !l.Active || l.DstCube != h.HostID() {
 		return ErrNotHostLink

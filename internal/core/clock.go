@@ -411,6 +411,9 @@ func (h *HMC) deliverLocal(d *device.Device, li, slot int) stageOutcome {
 	if err := pushMoved(v.RqstQ, p, h.clk); err != nil {
 		return outcomeStall
 	}
+	// The bank is already decoded here; caching it in the slot saves the
+	// conflict stage a decode per cycle the request waits.
+	v.RqstQ.At(v.RqstQ.Len() - 1).SetBank(dec.Bank)
 	cs := &h.cubeStats[d.ID]
 	cs.Delivered++
 	switch {

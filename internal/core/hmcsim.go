@@ -7,7 +7,6 @@ import (
 	"hmcsim/internal/device"
 	"hmcsim/internal/fault"
 	"hmcsim/internal/packet"
-	"hmcsim/internal/reg"
 	"hmcsim/internal/sched"
 	"hmcsim/internal/topo"
 	"hmcsim/internal/trace"
@@ -50,8 +49,7 @@ const LCLinkDown uint64 = 1 << 0
 
 // linkDown reports whether the link's LC register link-down bit is set.
 func linkDown(d *device.Device, link int) bool {
-	v, err := d.Regs.Read(reg.PhysLC0 + uint64(link))
-	return err == nil && v&LCLinkDown != 0
+	return d.Regs.LinkConfig(link)&LCLinkDown != 0
 }
 
 // HMC is one HMC-Sim simulation object: a set of physically homogeneous
@@ -206,7 +204,7 @@ func (h *HMC) Config() Config { return h.cfg }
 
 // HostID returns the cube ID representing the host processor: one greater
 // than the largest device cube ID.
-func (h *HMC) HostID() int { return h.cfg.HostID() }
+func (h *HMC) HostID() int { return h.cfg.NumDevs }
 
 // Clk returns the current value of the 64-bit internal clock.
 func (h *HMC) Clk() uint64 { return h.clk }

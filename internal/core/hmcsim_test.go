@@ -431,6 +431,54 @@ func TestSendValidation(t *testing.T) {
 	}
 }
 
+// TestRejectedSendRequestDrawsNoSequence: a SendRequest that names no
+// device or link of the object is rejected before it touches any state,
+// so the next accepted packet on a link carries the sequence number it
+// would have carried without the rejected call. Rejections further in
+// (here: a stall) still draw, as the stall digests pin.
+func TestRejectedSendRequestDrawsNoSequence(t *testing.T) {
+	cfg := testConfig()
+	cfg.XbarDepth = 2
+	h := newSimple(t, cfg)
+	req := packet.Request{Cmd: packet.CmdRD16}
+	seqOfNewest := func() uint8 {
+		q := h.Device(0).Links[0].RqstQ
+		return q.At(q.Len() - 1).Packet.Seq()
+	}
+
+	if err := h.SendRequest(0, 0, req); err != nil {
+		t.Fatal(err)
+	}
+	if got := seqOfNewest(); got != 0 {
+		t.Fatalf("first packet SEQ = %d, want 0", got)
+	}
+	for _, bad := range [][2]int{{99, 0}, {-1, 0}, {0, 99}, {0, -1}} {
+		if err := h.SendRequest(bad[0], bad[1], req); !errors.Is(err, ErrRange) {
+			t.Fatalf("SendRequest(%d, %d) = %v, want ErrRange", bad[0], bad[1], err)
+		}
+	}
+	if err := h.SendRequest(0, 0, req); err != nil {
+		t.Fatal(err)
+	}
+	if got := seqOfNewest(); got != 1 {
+		t.Errorf("SEQ after rejected out-of-range sends = %d, want 1", got)
+	}
+
+	// The queue (depth 2) is now full: this one stalls, and draws SEQ 2.
+	if err := h.SendRequest(0, 0, req); !errors.Is(err, ErrStall) {
+		t.Fatalf("SendRequest on a full queue = %v, want ErrStall", err)
+	}
+	if err := h.Clock(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SendRequest(0, 0, req); err != nil {
+		t.Fatal(err)
+	}
+	if got := seqOfNewest(); got != 3 {
+		t.Errorf("SEQ after a stalled send = %d, want 3 (a stall draws)", got)
+	}
+}
+
 func TestSendStallWhenXbarFull(t *testing.T) {
 	cfg := testConfig()
 	cfg.XbarDepth = 4

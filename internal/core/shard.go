@@ -3,6 +3,7 @@ package core
 import (
 	"hmcsim/internal/device"
 	"hmcsim/internal/packet"
+	"hmcsim/internal/queue"
 	"hmcsim/internal/trace"
 )
 
@@ -154,7 +155,7 @@ func (h *HMC) mergeShards() {
 			h.pool.Put(p)
 		}
 		sh.puts = sh.puts[:0]
-		h.stats.Add(sh.stats)
+		h.stats.add(&sh.stats)
 		sh.stats = Stats{}
 	}
 }
@@ -182,7 +183,14 @@ func (h *HMC) conflictVault(sh *shard, d *device.Device, vi int) {
 	for i := 0; i < n; i++ {
 		s := q.At(i)
 		p := s.Packet
-		bank := d.Map.Decode(p.Addr()).Bank
+		bank, ok := s.Bank()
+		if !ok {
+			// First look at a slot that did not come through deliverLocal
+			// (a restored checkpoint, a test pushing straight into the
+			// queue): decode once and cache.
+			bank = d.Map.Decode(p.Addr()).Bank
+			s.SetBank(bank)
+		}
 		bit := uint64(1) << uint(bank)
 		if claimed&bit != 0 {
 			s.Deferred = true
@@ -221,11 +229,16 @@ func (h *HMC) vaultOne(sh *shard, d *device.Device, vi int) {
 	if window := h.cfg.ConflictWindow; window > 0 && window < n {
 		n = window
 	}
-	i := 0
-	for i < n {
+	// Serviced slots are retired in place and squeezed out by one
+	// order-preserving compaction after the walk, so a cycle costs the
+	// window once however many packets leave from behind deferred ones.
+	// retired is the FIFO position just past the last retired slot: bank
+	// arbitration favours the front of the queue, so the compaction
+	// usually has only a prefix of the window to visit.
+	retired := 0
+	for i := 0; i < n; i++ {
 		s := q.At(i)
 		if s.Deferred {
-			i++
 			continue
 		}
 		p := s.Packet
@@ -246,15 +259,16 @@ func (h *HMC) vaultOne(sh *shard, d *device.Device, vi int) {
 			break
 		}
 		moved := h.serviceVaultRequest(sh, d, v, vi, p)
-		q.Remove(i)
+		*s = queue.Slot{}
+		retired = i + 1
 		if !moved {
 			// Posted request (or the buffer was otherwise consumed): the
 			// packet leaves the simulation here. The pool return is
 			// deferred to the merge so the free list stays single-owner.
 			sh.puts = append(sh.puts, p)
 		}
-		n--
 	}
+	q.Compact(retired)
 }
 
 // serviceVaultRequest performs the memory operation for one request and

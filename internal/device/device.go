@@ -158,9 +158,13 @@ type Vault struct {
 
 // DRAM is one DRAM part within a bank. The vault controller breaks bank
 // storage into 16-byte blocks; read and write requests to a target bank
-// are performed as 32-byte column fetches striped across the parts.
+// are performed as 32-byte column fetches striped across the parts. The
+// parts are structural — nothing is stored per part — so a device
+// computes them on request (Device.DRAM) instead of allocating them.
 type DRAM struct {
-	ID   int
+	// ID is the part index within its bank.
+	ID int
+	// Bank is the device-wide bank index, vault-major.
 	Bank int
 }
 
@@ -173,9 +177,6 @@ type Device struct {
 	Links  []Link
 	Quads  []Quad
 	Vaults []Vault
-	// DRAMs is the flattened single-block DRAM allocation
-	// (vault-major, then bank, then part).
-	DRAMs []DRAM
 
 	// Regs is the device configuration/status register file.
 	Regs *reg.File
@@ -225,7 +226,6 @@ func New(id int, cfg Config) (*Device, error) {
 	d.Quads = make([]Quad, cfg.NumQuads())
 	d.Vaults = make([]Vault, cfg.NumVaults)
 	d.banks = make([]Bank, cfg.NumVaults*cfg.NumBanks)
-	d.DRAMs = make([]DRAM, cfg.NumVaults*cfg.NumBanks*cfg.NumDRAMs)
 
 	for q := range d.Quads {
 		d.Quads[q] = Quad{ID: q, Link: q % cfg.NumLinks}
@@ -247,10 +247,6 @@ func New(id int, cfg Config) (*Device, error) {
 				ID:    b,
 				Vault: v,
 				store: cfg.StoreData,
-			}
-			dramBase := (bankBase + b) * cfg.NumDRAMs
-			for p := 0; p < cfg.NumDRAMs; p++ {
-				d.DRAMs[dramBase+p] = DRAM{ID: p, Bank: bankBase + b}
 			}
 		}
 	}
@@ -283,6 +279,23 @@ func (d *Device) Reset() {
 // Bank returns the bank b of vault v.
 func (d *Device) Bank(v, b int) *Bank {
 	return &d.Vaults[v].Banks[b]
+}
+
+// NumDRAMs returns the device's DRAM part count: vaults × banks × parts
+// per bank.
+func (d *Device) NumDRAMs() int {
+	return d.Cfg.NumVaults * d.Cfg.NumBanks * d.Cfg.NumDRAMs
+}
+
+// DRAM returns part p of bank b of vault v. Like indexing, it panics on
+// coordinates outside the device.
+func (d *Device) DRAM(v, b, p int) DRAM {
+	c := d.Cfg
+	if v < 0 || v >= c.NumVaults || b < 0 || b >= c.NumBanks || p < 0 || p >= c.NumDRAMs {
+		panic(fmt.Sprintf("device: DRAM(%d, %d, %d) outside %d vaults x %d banks x %d parts",
+			v, b, p, c.NumVaults, c.NumBanks, c.NumDRAMs))
+	}
+	return DRAM{ID: p, Bank: v*c.NumBanks + b}
 }
 
 // LinkForQuad returns the link physically closest to quad q. Host devices

@@ -86,9 +86,18 @@ func TestHierarchyFourLink(t *testing.T) {
 		}
 	}
 	// DRAM parts: vaults * banks * drams, each attributed to its bank.
-	if got, want := len(d.DRAMs), 16*8*20; got != want {
-		t.Errorf("DRAMs = %d, want %d", got, want)
+	if got, want := d.NumDRAMs(), 16*8*20; got != want {
+		t.Errorf("NumDRAMs = %d, want %d", got, want)
 	}
+	if got, want := d.DRAM(15, 7, 19), (DRAM{ID: 19, Bank: 15*8 + 7}); got != want {
+		t.Errorf("DRAM(15, 7, 19) = %+v, want %+v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("DRAM outside the device did not panic")
+		}
+	}()
+	d.DRAM(16, 0, 0)
 }
 
 func TestHierarchyEightLink(t *testing.T) {

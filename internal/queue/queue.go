@@ -57,9 +57,27 @@ type Slot struct {
 	// cycle flags it persists across clock edges; it resets when the
 	// packet moves to the next queue.
 	Retries uint8
+	// bank caches the decoded bank of a request waiting in a vault request
+	// queue as bank+1; zero means not cached. It is derived state — a
+	// pure function of the packet's address and the device's address map —
+	// so checkpoints and digests never carry it and a reader that finds it
+	// empty decodes the address and fills it in. It occupies padding the
+	// struct already had: Slot stays 32 bytes.
+	bank uint8
 	// Arrived records the device clock value at which the packet entered
 	// this queue, for latency tracing.
 	Arrived uint64
+}
+
+// Bank returns the bank cached by SetBank; ok is false when none is.
+func (s *Slot) Bank() (bank int, ok bool) { return int(s.bank) - 1, s.bank != 0 }
+
+// SetBank caches the slot's decoded bank. A bank index too large for
+// the byte is not cached; its readers decode on every use.
+func (s *Slot) SetBank(bank int) {
+	if bank >= 0 && bank < 255 {
+		s.bank = uint8(bank + 1)
+	}
 }
 
 // Queue is a fixed-depth FIFO of packet slots.
@@ -124,15 +142,25 @@ func (q *Queue) Full() bool { return q.count == len(q.slots) }
 // Empty reports whether no slot is valid.
 func (q *Queue) Empty() bool { return q.count == 0 }
 
+// index returns the ring position of the i-th valid slot, 0 <= i <=
+// count. head and i are both below len(slots), so one compare-and-wrap
+// replaces the modulo (an integer division per slot touched).
+func (q *Queue) index(i int) int {
+	i += q.head
+	if i >= len(q.slots) {
+		i -= len(q.slots)
+	}
+	return i
+}
+
 // Push appends p to the tail of the queue, recording the arrival clock.
 // It returns ErrFull when no free slot exists. The queue takes ownership
-// of the pointed-to packet until Pop or Remove surrenders it.
+// of the pointed-to packet until Pop, Remove or Compact surrenders it.
 func (q *Queue) Push(p *packet.Packet, clock uint64) error {
 	if q.Full() {
 		return ErrFull
 	}
-	i := (q.head + q.count) % len(q.slots)
-	q.slots[i] = Slot{Valid: true, Packet: p, Arrived: clock}
+	q.slots[q.index(q.count)] = Slot{Valid: true, Packet: p, Arrived: clock}
 	q.count++
 	return nil
 }
@@ -152,7 +180,7 @@ func (q *Queue) At(i int) *Slot {
 	if i < 0 || i >= q.count {
 		return nil
 	}
-	return &q.slots[(q.head+i)%len(q.slots)]
+	return &q.slots[q.index(i)]
 }
 
 // Pop removes and returns the head packet, transferring ownership to the
@@ -164,7 +192,7 @@ func (q *Queue) Pop() (*packet.Packet, bool) {
 	s := &q.slots[q.head]
 	p := s.Packet
 	*s = Slot{}
-	q.head = (q.head + 1) % len(q.slots)
+	q.head = q.index(1)
 	q.count--
 	return p, true
 }
@@ -183,30 +211,77 @@ func (q *Queue) Remove(i int) bool {
 		// Head removal is the common case (strict FIFO drains); it only
 		// advances the ring head.
 		q.slots[q.head] = Slot{}
-		q.head = (q.head + 1) % len(q.slots)
+		q.head = q.index(1)
 		q.count--
 		return true
 	}
 	// Shift everything after i forward by one slot. Slots carry packet
 	// pointers, so the shift moves words, not packet bodies.
+	cur := q.index(i)
 	for j := i; j < q.count-1; j++ {
-		cur := (q.head + j) % len(q.slots)
-		next := (q.head + j + 1) % len(q.slots)
+		next := cur + 1
+		if next == len(q.slots) {
+			next = 0
+		}
 		q.slots[cur] = q.slots[next]
+		cur = next
 	}
-	last := (q.head + q.count - 1) % len(q.slots)
-	q.slots[last] = Slot{}
+	q.slots[cur] = Slot{}
 	q.count--
 	return true
+}
+
+// Compact removes, in one pass, every slot among the first n in FIFO
+// order that the caller has retired by zeroing it (*s = Slot{}),
+// preserving the relative order of all remaining packets. It supports the
+// vault processing stage, which services any number of unconflicted
+// packets behind deferred ones in a cycle: retiring them one Remove at a
+// time costs a shift of the queue's tail per packet, Compact costs n slot
+// visits in total. The survivors of the window slide toward the tail and
+// the head advances past the vacated slots, so slots beyond the window are
+// never touched.
+func (q *Queue) Compact(n int) {
+	if n > q.count {
+		n = q.count
+	}
+	if n <= 0 {
+		return
+	}
+	src := q.index(n - 1)
+	dst := src
+	kept := 0
+	for k := 0; k < n; k++ {
+		if q.slots[src].Valid {
+			if dst != src {
+				q.slots[dst] = q.slots[src]
+				q.slots[src] = Slot{}
+			}
+			kept++
+			if dst == 0 {
+				dst = len(q.slots)
+			}
+			dst--
+		}
+		if src == 0 {
+			src = len(q.slots)
+		}
+		src--
+	}
+	q.head = q.index(n - kept)
+	q.count -= n - kept
 }
 
 // ClearCycleFlags resets the Deferred and Moved marks on every valid
 // slot. The clock engine calls it at the start of each cycle.
 func (q *Queue) ClearCycleFlags() {
-	for i := 0; i < q.count; i++ {
-		s := &q.slots[(q.head+i)%len(q.slots)]
+	i := q.head
+	for n := q.count; n > 0; n-- {
+		s := &q.slots[i]
 		s.Deferred = false
 		s.Moved = false
+		if i++; i == len(q.slots) {
+			i = 0
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package queue
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+	"unsafe"
 
 	"hmcsim/internal/packet"
 )
@@ -211,66 +211,189 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestPropertyFIFOModel drives the queue with a random push/pop/remove
-// sequence and checks it against a plain-slice reference model.
+// modelSlot is what the reference model remembers of one queued packet:
+// everything a Slot carries besides the pointer itself.
+type modelSlot struct {
+	tag             uint16
+	deferred, moved bool
+	retries         uint8
+	bank            int // -1: none cached
+	arrived         uint64
+}
+
+// TestPropertyFIFOModel drives the queue with a random
+// push/pop/remove/compact/clear-flags sequence and checks it against a
+// plain-slice reference model: the depths the engine uses (and the
+// degenerate ones), started from every head position so each ring
+// operation is exercised across the wrap.
 func TestPropertyFIFOModel(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		depth := 1 + r.Intn(16)
-		q := MustNew(depth)
-		var model []uint16
-		tag := uint16(0)
-		for op := 0; op < 200; op++ {
-			switch r.Intn(3) {
-			case 0: // push
-				err := q.Push(mkpktQuick(tag), 0)
-				if len(model) == depth {
-					if err != ErrFull {
-						return false
-					}
-				} else {
-					if err != nil {
-						return false
-					}
-					model = append(model, tag)
-					tag = (tag + 1) & packet.MaxTag
+	pkts := make([]*packet.Packet, 512)
+	for i := range pkts {
+		pkts[i] = mkpktQuick(uint16(i))
+	}
+	for _, depth := range []int{1, 2, 3, 16, 64, 128} {
+		for start := 0; start < depth; start++ {
+			r := rand.New(rand.NewSource(int64(depth)<<16 | int64(start)))
+			q := MustNew(depth)
+			for i := 0; i < start; i++ { // walk the head to the start position
+				if err := q.Push(pkts[0], 0); err != nil {
+					t.Fatal(err)
 				}
-			case 1: // pop
-				p, ok := q.Pop()
-				if len(model) == 0 {
-					if ok {
-						return false
+				q.Pop()
+			}
+			if q.head != start {
+				t.Fatalf("depth %d: head %d, want %d", depth, q.head, start)
+			}
+			var model []modelSlot
+			tag := uint16(0)
+			for op := 0; op < 300; op++ {
+				switch r.Intn(6) {
+				case 0, 1: // push (twice as likely, so queues fill and wrap)
+					clk := uint64(op)
+					err := q.Push(pkts[tag], clk)
+					if len(model) == depth {
+						if err != ErrFull {
+							t.Fatalf("depth %d start %d op %d: Push on full queue: %v", depth, start, op, err)
+						}
+						break
 					}
-				} else {
-					if !ok || p.Tag() != model[0] {
-						return false
+					if err != nil {
+						t.Fatalf("depth %d start %d op %d: Push: %v", depth, start, op, err)
+					}
+					m := modelSlot{tag: tag, bank: -1, arrived: clk}
+					s := q.At(q.Len() - 1)
+					// Decorate the new slot the way the engine's stages do.
+					if r.Intn(2) == 0 {
+						s.Deferred, m.deferred = true, true
+					}
+					if r.Intn(2) == 0 {
+						s.Moved, m.moved = true, true
+					}
+					if r.Intn(4) == 0 {
+						m.retries = uint8(1 + r.Intn(200))
+						s.Retries = m.retries
+					}
+					if r.Intn(2) == 0 {
+						m.bank = r.Intn(64)
+						s.SetBank(m.bank)
+					}
+					model = append(model, m)
+					tag = (tag + 1) % uint16(len(pkts))
+				case 2: // pop
+					p, ok := q.Pop()
+					if len(model) == 0 {
+						if ok {
+							t.Fatalf("depth %d start %d op %d: Pop on empty queue succeeded", depth, start, op)
+						}
+						break
+					}
+					if !ok || p.Tag() != model[0].tag {
+						t.Fatalf("depth %d start %d op %d: Pop = %v, %v; want tag %d", depth, start, op, p, ok, model[0].tag)
 					}
 					model = model[1:]
+				case 3: // remove random index
+					if q.Remove(len(model)) || q.Remove(-1) {
+						t.Fatalf("depth %d start %d op %d: Remove out of range succeeded", depth, start, op)
+					}
+					if len(model) == 0 {
+						break
+					}
+					i := r.Intn(len(model))
+					if !q.Remove(i) {
+						t.Fatalf("depth %d start %d op %d: Remove(%d) failed", depth, start, op, i)
+					}
+					model = append(model[:i:i], model[i+1:]...)
+				case 4: // retire a random subset of a random window, compact once
+					n := r.Intn(len(model) + 2) // may exceed Len: Compact clamps
+					kept := make([]modelSlot, 0, len(model))
+					for i, m := range model {
+						if i < n && r.Intn(2) == 0 {
+							*q.At(i) = Slot{}
+							continue
+						}
+						kept = append(kept, m)
+					}
+					q.Compact(n)
+					model = kept
+				case 5:
+					q.ClearCycleFlags()
+					for i := range model {
+						model[i].deferred, model[i].moved = false, false
+					}
 				}
-			case 2: // remove random index
-				if len(model) == 0 {
-					continue
-				}
-				i := r.Intn(len(model))
-				if !q.Remove(i) {
-					return false
-				}
-				model = append(model[:i], model[i+1:]...)
-			}
-			// Invariants after every operation.
-			if q.Len() != len(model) || q.Free() != depth-len(model) {
-				return false
-			}
-			for i, w := range model {
-				if q.At(i).Packet.Tag() != w {
-					return false
+				checkAgainstModel(t, q, model, depth)
+				if t.Failed() {
+					t.Fatalf("depth %d start %d: diverged from the model at op %d", depth, start, op)
 				}
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+}
+
+// checkAgainstModel compares every observable of q with the model, and
+// the unobservable one the ring relies on: slots outside the valid range
+// are zero, so no stale packet pointer outlives its slot.
+func checkAgainstModel(t *testing.T, q *Queue, model []modelSlot, depth int) {
+	t.Helper()
+	if q.Len() != len(model) || q.Free() != depth-len(model) ||
+		q.Empty() != (len(model) == 0) || q.Full() != (len(model) == depth) {
+		t.Errorf("Len %d Free %d Empty %v Full %v with %d modelled slots of %d",
+			q.Len(), q.Free(), q.Empty(), q.Full(), len(model), depth)
+		return
+	}
+	if q.head < 0 || q.head >= depth {
+		t.Errorf("head %d outside the ring", q.head)
+		return
+	}
+	for i, m := range model {
+		s := q.At(i)
+		bank, ok := s.Bank()
+		if !s.Valid || s.Packet.Tag() != m.tag || s.Deferred != m.deferred ||
+			s.Moved != m.moved || s.Retries != m.retries || s.Arrived != m.arrived ||
+			ok != (m.bank >= 0) || (ok && bank != m.bank) {
+			t.Errorf("slot %d = %+v, model %+v", i, *s, m)
+		}
+	}
+	if q.At(len(model)) != nil || q.At(-1) != nil {
+		t.Error("At outside the valid range returned a slot")
+	}
+	if (q.Head() == nil) != (len(model) == 0) || (len(model) > 0 && q.Head() != q.At(0)) {
+		t.Error("Head disagrees with At(0)")
+	}
+	for i := len(model); i < depth; i++ {
+		if s := q.slots[q.index(i)]; s != (Slot{}) {
+			t.Errorf("free slot %d not zero: %+v", i, s)
+		}
+	}
+}
+
+// TestSlotSize pins the slot footprint: queue storage is most of what an
+// engine build allocates, and the cached bank rides in existing padding.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Slot{}); got != 32 {
+		t.Errorf("Slot is %d bytes, want 32", got)
+	}
+}
+
+// TestBankCache covers the cached bank's encoding edges.
+func TestBankCache(t *testing.T) {
+	var s Slot
+	if _, ok := s.Bank(); ok {
+		t.Error("zero slot reports a cached bank")
+	}
+	for _, b := range []int{0, 1, 63, 254} {
+		s = Slot{}
+		s.SetBank(b)
+		if got, ok := s.Bank(); !ok || got != b {
+			t.Errorf("SetBank(%d) read back %d, %v", b, got, ok)
+		}
+	}
+	for _, b := range []int{-1, 255, 1024} {
+		s = Slot{}
+		s.SetBank(b)
+		if _, ok := s.Bank(); ok {
+			t.Errorf("SetBank(%d) cached a bank the byte cannot hold", b)
+		}
 	}
 }
 

@@ -228,6 +228,17 @@ func (f *File) Read(phys uint64) (uint64, error) {
 	return f.regs[lin].Value, nil
 }
 
+// LinkConfig returns the value of link configuration register LC<link>,
+// zero for a link the device does not have. It is Read(PhysLC0+link)
+// without the physical-index translation: the engine consults the
+// link-down bit on every host send and receive.
+func (f *File) LinkConfig(link int) uint64 {
+	if uint(link) >= numLinkRegs {
+		return 0
+	}
+	return f.regs[linLC0+link].Value
+}
+
 // Write stores v into the register with the given physical index,
 // enforcing the register class. Writes to RO registers fail. Writes to
 // RWS registers take effect immediately and self-clear at the next clock
