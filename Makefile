@@ -22,6 +22,10 @@ test:
 
 race: test-race
 
+# test-race runs the whole tree under the race detector: a superset of the
+# package list of CI's race step, which names queue, device, host and check
+# beside core because their queues write the occupancy words the sharded
+# vault stages read.
 test-race:
 	$(GO) test -race ./...
 

@@ -14,6 +14,10 @@
 //     and a bank cached in their slot is the bank they decode to
 //   - source link IDs fit the device's link range
 //   - destination cube IDs are devices or the host
+//   - the engine's occupancy index says exactly what a scan of the queues
+//     and link-retry buffers says: every queue is covered by one bit, set
+//     if and only if the queue holds a packet, and the count of occupied
+//     retry buffers is right
 package check
 
 import (
@@ -66,6 +70,66 @@ func Verify(h *core.HMC) error {
 				return err
 			}
 		}
+	}
+	return verifyOccupancy(h)
+}
+
+// verifyOccupancy holds the occupancy index against the full scan it
+// replaced in the engine: the scan lives on here as the reference.
+func verifyOccupancy(h *core.HMC) error {
+	cfg := h.Config()
+	words, retries := h.OccupancyIndex()
+	// covered[dev][0] and [1] collect the links and vaults some word covers.
+	covered := make([][2]uint64, cfg.NumDevs)
+	for _, w := range words {
+		layer, n, k := "link", cfg.NumLinks, 0
+		if w.Vaults {
+			layer, n, k = "vault", cfg.NumVaults, 1
+		}
+		if w.Dev < 0 || w.Dev >= cfg.NumDevs || w.Lo < 0 || w.Hi > n || w.Lo >= w.Hi {
+			return fmt.Errorf("check: occupancy word covers %ss %d..%d of dev %d", layer, w.Lo, w.Hi, w.Dev)
+		}
+		d := h.Device(w.Dev)
+		var span, rqst, rsp uint64
+		for i := w.Lo; i < w.Hi; i++ {
+			bit := uint64(1) << uint(i)
+			span |= bit
+			var rq, rs *queue.Queue
+			if w.Vaults {
+				rq, rs = d.Vaults[i].RqstQ, d.Vaults[i].RspQ
+			} else {
+				rq, rs = d.Links[i].RqstQ, d.Links[i].RspQ
+			}
+			if rq.Len() > 0 {
+				rqst |= bit
+			}
+			if rs.Len() > 0 {
+				rsp |= bit
+			}
+		}
+		if w.Rqst != rqst || w.Rsp != rsp {
+			return fmt.Errorf("check: dev %d %ss %d..%d: occupancy index says rqst %#x rsp %#x, the queues say rqst %#x rsp %#x",
+				w.Dev, layer, w.Lo, w.Hi, w.Rqst, w.Rsp, rqst, rsp)
+		}
+		if covered[w.Dev][k]&span != 0 {
+			return fmt.Errorf("check: dev %d %ss %d..%d covered by two occupancy words", w.Dev, layer, w.Lo, w.Hi)
+		}
+		covered[w.Dev][k] |= span
+	}
+	pending := 0
+	for cube := range covered {
+		if covered[cube] != [2]uint64{1<<uint(cfg.NumLinks) - 1, 1<<uint(cfg.NumVaults) - 1} {
+			return fmt.Errorf("check: dev %d: occupancy index covers links %#x and vaults %#x, not all of them",
+				cube, covered[cube][0], covered[cube][1])
+		}
+		for li := 0; li < cfg.NumLinks; li++ {
+			if h.RetryBuffered(cube, li) {
+				pending++
+			}
+		}
+	}
+	if retries != pending {
+		return fmt.Errorf("check: engine counts %d occupied retry buffers, a scan finds %d", retries, pending)
 	}
 	return nil
 }

@@ -170,6 +170,46 @@ func TestVerifyDetectsStaleCachedBank(t *testing.T) {
 	}
 }
 
+func TestVerifyDetectsStaleOccupancy(t *testing.T) {
+	rqst, err := packet.BuildRequest(packet.Request{CUB: 0, Addr: 0 /* vault 0 */, Cmd: packet.CmdRD16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsp, err := packet.BuildResponse(packet.Response{CUB: 0, Cmd: packet.CmdWRRS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A queue rebound to a word the engine never reads stops reporting to
+	// the index: whatever it does next leaves the engine's bit stale.
+	var elsewhere uint64
+
+	h := newSimple(t)
+	_ = h.Clock()
+	q := h.Device(0).Vaults[0].RqstQ
+	if err := q.Push(&rqst, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(h); err != nil {
+		t.Fatalf("index does not follow a push straight into a vault queue: %v", err)
+	}
+	q.Bind(&elsewhere, 0)
+	q.Pop()
+	if err := Verify(h); err == nil {
+		t.Error("bit still set for an emptied vault request queue not detected")
+	}
+
+	h = newSimple(t)
+	_ = h.Clock()
+	q = h.Device(0).Links[1].RspQ
+	q.Bind(&elsewhere, 1)
+	if err := q.Push(&rsp, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(h); err == nil {
+		t.Error("bit still clear for a loaded crossbar response queue not detected")
+	}
+}
+
 func TestVerifyDetectsResponseInRequestQueue(t *testing.T) {
 	h := newSimple(t)
 	_ = h.Clock()

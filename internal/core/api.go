@@ -136,7 +136,7 @@ func (h *HMC) acceptRequest(d *device.Device, dev, link int, l *device.Link, rs 
 		// controller keeps the packet in its retry buffer and replays
 		// it on subsequent cycles — transparently to the host, which
 		// sees the packet as accepted.
-		*rs = retryState{pending: true, attempts: 1, packet: p}
+		h.holdRetry(rs, p, 1)
 		h.stats.LinkRetransmits++
 		if h.mask&trace.KindRetry != 0 {
 			h.emit(trace.Event{
@@ -276,6 +276,24 @@ func (h *HMC) Recv(dev, link int) ([]uint64, error) {
 	copy(out, p.Words())
 	h.pool.Put(p)
 	return out, nil
+}
+
+// RecvReady reports whether a receive on the port could return anything
+// but ErrStall: a response is waiting, or the port is one a receive
+// rejects (out of range, not a host link, down, failed), or the object is
+// not sealed yet and the receive would seal it. A host that polls only
+// ready ports sees every response and every error a host that polls all
+// of them does, and pays for the empty ones with one bit test each.
+func (h *HMC) RecvReady(dev, link int) bool {
+	d := h.Device(dev)
+	if !h.sealed || d == nil || link < 0 || link >= len(d.Links) {
+		return true
+	}
+	if h.occ[dev].rsp&(1<<uint(link)) != 0 {
+		return true
+	}
+	l := &d.Links[link]
+	return !l.Active || l.DstCube != h.HostID() || linkDown(d, link) || h.linkFailed(dev, link)
 }
 
 // RecvPacket is Recv without the copy: it returns the decoded response

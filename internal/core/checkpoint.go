@@ -270,6 +270,7 @@ func (h *HMC) Restore(ck *Checkpoint) error {
 	for i := range h.retry {
 		clear(h.retry[i])
 	}
+	h.retryPending = 0
 	for _, rc := range ck.Retry {
 		if rc.Dev < 0 || rc.Dev >= len(h.retry) || rc.Link < 0 || rc.Link >= len(h.retry[rc.Dev]) {
 			return fmt.Errorf("%w: retry buffer %d:%d out of range", ErrCheckpoint, rc.Dev, rc.Link)
@@ -278,9 +279,13 @@ func (h *HMC) Restore(ck *Checkpoint) error {
 		if err != nil {
 			return fmt.Errorf("%w: retry buffer %d:%d: %v", ErrCheckpoint, rc.Dev, rc.Link, err)
 		}
+		rs := &h.retry[rc.Dev][rc.Link]
+		if rs.pending {
+			return fmt.Errorf("%w: retry buffer %d:%d listed twice", ErrCheckpoint, rc.Dev, rc.Link)
+		}
 		p := h.pool.Get()
 		*p = pkt
-		h.retry[rc.Dev][rc.Link] = retryState{pending: true, attempts: rc.Attempts, packet: p}
+		h.holdRetry(rs, p, rc.Attempts)
 	}
 
 	for di, d := range h.devs {

@@ -167,6 +167,29 @@ func TestRestoreRejectsBadTargets(t *testing.T) {
 		t.Errorf("Restore of corrupted checkpoint: %v, want ErrCheckpoint", err)
 	}
 
+	// A retry buffer listed twice would be counted twice: one buffer, two
+	// pending transfers, and an engine that never goes quiet.
+	cfgR := cfg
+	cfgR.Fault.TransientPPM = 500000
+	hR := newSimple(t, cfgR)
+	for tag := uint16(0); len(hR.Checkpoint().Retry) == 0; tag++ {
+		if tag == 64 {
+			t.Fatal("no transfer ever waited in a retry buffer")
+		}
+		err := hR.SendRequest(0, int(tag)%cfgR.NumLinks, packet.Request{Addr: uint64(tag) * 64, Tag: tag, Cmd: packet.CmdRD64})
+		if err != nil && !errors.Is(err, ErrStall) {
+			t.Fatal(err)
+		}
+	}
+	twice := hR.Checkpoint()
+	if err := newSimple(t, cfgR).Restore(twice); err != nil {
+		t.Fatalf("Restore with an occupied retry buffer: %v", err)
+	}
+	twice.Retry = append(twice.Retry, twice.Retry[0])
+	if err := newSimple(t, cfgR).Restore(twice); !errors.Is(err, ErrCheckpoint) {
+		t.Errorf("Restore of a retry buffer listed twice: %v, want ErrCheckpoint", err)
+	}
+
 	// A mangled queued packet must fail CRC validation, not restore.
 	mangled := new(Checkpoint)
 	if err := json.Unmarshal(b, mangled); err != nil {

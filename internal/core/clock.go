@@ -115,10 +115,9 @@ func (h *HMC) ClockN(n int) error {
 
 // idle reports whether the next clock edge can take the bulk fast path:
 // no packet queued anywhere and no retry buffer occupied. The pool's
-// in-use count is the O(1) busy gate; the full queue walk only runs when
-// the gate believes the simulation is empty (externally built packets
-// pushed straight into device queues by tests bypass the pool, so the
-// walk is the authority).
+// in-use count is the O(1) busy gate; the occupancy index is the
+// authority (externally built packets pushed straight into device queues
+// by tests bypass the pool, but not the index).
 func (h *HMC) idle() bool {
 	return h.pool.InUse() <= 0 && h.Quiescent()
 }
@@ -134,15 +133,23 @@ func (h *HMC) regsClean() bool {
 	return true
 }
 
+// clearCycleFlags resets the Deferred and Moved marks of every queued
+// packet.
 func (h *HMC) clearCycleFlags() {
-	for _, d := range h.devs {
-		for i := range d.Links {
-			d.Links[i].RqstQ.ClearCycleFlags()
-			d.Links[i].RspQ.ClearCycleFlags()
+	for i, d := range h.devs {
+		o := &h.occ[i]
+		for l := nextBit(o.rqst, 0); l < 64; l = nextBit(o.rqst, l+1) {
+			d.Links[l].RqstQ.ClearCycleFlags()
 		}
-		for i := range d.Vaults {
-			d.Vaults[i].RqstQ.ClearCycleFlags()
-			d.Vaults[i].RspQ.ClearCycleFlags()
+		for l := nextBit(o.rsp, 0); l < 64; l = nextBit(o.rsp, l+1) {
+			d.Links[l].RspQ.ClearCycleFlags()
+		}
+		rqst, rsp := o.vaultWords()
+		for v := nextBit(rqst, 0); v < 64; v = nextBit(rqst, v+1) {
+			d.Vaults[v].RqstQ.ClearCycleFlags()
+		}
+		for v := nextBit(rsp, 0); v < 64; v = nextBit(rsp, v+1) {
+			d.Vaults[v].RspQ.ClearCycleFlags()
 		}
 	}
 }
@@ -164,6 +171,9 @@ func pushMoved(q *queue.Queue, p *packet.Packet, clk uint64) error {
 // permanent failure of the link mid-retry) abandons the transfer and
 // surfaces an ERROR response to the host.
 func (h *HMC) linkRetryStage() {
+	if h.retryPending == 0 {
+		return
+	}
 	for dev := range h.retry {
 		d := h.devs[dev]
 		for li := range h.retry[dev] {
@@ -198,7 +208,7 @@ func (h *HMC) linkRetryStage() {
 				continue
 			}
 			if err := pushMoved(l.RqstQ, p, h.clk); err == nil {
-				*rs = retryState{}
+				h.releaseRetry(rs)
 			}
 		}
 	}
@@ -220,7 +230,7 @@ func (h *HMC) retryGiveUp(d *device.Device, li int, rs *retryState) {
 				Cmd: p.Cmd().String(), Aux: uint64(packet.ErrStatLinkCRC),
 			})
 		}
-		*rs = retryState{}
+		h.releaseRetry(rs)
 		h.pool.Put(p)
 		return
 	}
@@ -232,7 +242,7 @@ func (h *HMC) retryGiveUp(d *device.Device, li int, rs *retryState) {
 		if out < 0 {
 			// No surviving path back to any host: the response is lost.
 			h.stats.Errors++
-			*rs = retryState{}
+			h.releaseRetry(rs)
 			h.pool.Put(p)
 			return
 		}
@@ -247,7 +257,7 @@ func (h *HMC) retryGiveUp(d *device.Device, li int, rs *retryState) {
 	addr, tag, reqCmd := p.Addr(), p.Tag(), p.Cmd()
 	packet.ErrorResponseInto(p, p, uint8(d.ID), packet.ErrStatLinkCRC)
 	_ = pushMoved(q, p, h.clk)
-	*rs = retryState{}
+	h.releaseRetry(rs)
 	h.stats.Errors++
 	h.stats.ErrorResponses++
 	if h.mask&trace.KindError != 0 {
@@ -277,7 +287,8 @@ func (h *HMC) retryGiveUp(d *device.Device, li int, rs *retryState) {
 // vault.
 func (h *HMC) xbarRequestStage(cube int) {
 	d := h.devs[cube]
-	for li := range d.Links {
+	o := &h.occ[cube]
+	for li := nextBit(o.rqst, 0); li < 64; li = nextBit(o.rqst, li+1) {
 		l := &d.Links[li]
 		if !l.Active {
 			continue
@@ -658,10 +669,11 @@ func (h *HMC) refreshMask(d *device.Device, vi int) uint64 {
 // source link identifier.
 func (h *HMC) responseStage(cube int) {
 	d := h.devs[cube]
+	o := &h.occ[cube]
 
 	// Rescue pass: responses stranded on a permanently failed link migrate
 	// to a surviving egress queue so no outstanding tag is ever lost.
-	for li := range d.Links {
+	for li := nextBit(o.rsp, 0); li < 64; li = nextBit(o.rsp, li+1) {
 		if !d.Links[li].Active || !h.linkFailed(cube, li) {
 			continue
 		}
@@ -696,7 +708,8 @@ func (h *HMC) responseStage(cube int) {
 	}
 
 	// Vault response queues drain into crossbar response queues.
-	for vi := range d.Vaults {
+	_, vaultRsp := o.vaultWords()
+	for vi := nextBit(vaultRsp, 0); vi < 64; vi = nextBit(vaultRsp, vi+1) {
 		v := &d.Vaults[vi]
 		for v.RspQ.Len() > 0 {
 			p := v.RspQ.Head().Packet
@@ -743,7 +756,7 @@ func (h *HMC) responseStage(cube int) {
 	// Pass-through forwarding: responses waiting on links that face
 	// another device cross to that device's egress queue, one hop per
 	// cycle.
-	for li := range d.Links {
+	for li := nextBit(o.rsp, 0); li < 64; li = nextBit(o.rsp, li+1) {
 		l := &d.Links[li]
 		if !l.Active || l.DstCube < 0 || l.DstCube >= h.cfg.NumDevs {
 			continue

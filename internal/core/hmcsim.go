@@ -97,6 +97,14 @@ type HMC struct {
 	sched   *sched.Pool
 	shardFn func(worker int)
 
+	// occ (per device) and spans (per device and shard: the block the
+	// shards' and the devices' spans are slices of) are the occupancy
+	// index: a bit per queue, set while the queue is non-empty, kept by
+	// the queues themselves and read by every per-cycle walk. See
+	// occupancy.go.
+	occ   []devOcc
+	spans []vaultSpan
+
 	// fault is the deterministic fault engine (see package fault).
 	fault *fault.Engine
 	// vaultFaults holds one independent fault stream per (device, vault),
@@ -107,8 +115,10 @@ type HMC struct {
 	// retry holds the per-host-link retry buffers of the link
 	// controllers, indexed [dev][link]: a transfer corrupted by a
 	// transient fault waits here and is retransmitted transparently on
-	// subsequent cycles.
-	retry [][]retryState
+	// subsequent cycles. retryPending counts the occupied buffers, so a
+	// cycle with none — nearly every cycle — never looks at them.
+	retry        [][]retryState
+	retryPending int
 
 	// router, when non-nil, computes the pristine routing tables instead
 	// of breadth-first search (WithRouter; the fabric layer installs
@@ -138,11 +148,24 @@ type HMC struct {
 
 // retryState is one link controller's retry buffer: a single in-flight
 // transfer being replayed after transient faults. The buffer owns the
-// pooled packet while pending is set.
+// pooled packet while pending is set. Buffers fill and empty through
+// holdRetry and releaseRetry only, which keep retryPending.
 type retryState struct {
 	pending  bool
 	attempts int
 	packet   *packet.Packet
+}
+
+// holdRetry occupies the empty retry buffer rs with p.
+func (h *HMC) holdRetry(rs *retryState, p *packet.Packet, attempts int) {
+	*rs = retryState{pending: true, attempts: attempts, packet: p}
+	h.retryPending++
+}
+
+// releaseRetry empties the occupied retry buffer rs.
+func (h *HMC) releaseRetry(rs *retryState) {
+	*rs = retryState{}
+	h.retryPending--
 }
 
 // New initializes one or more simulated HMC devices into a reset state.
@@ -176,7 +199,8 @@ func New(cfg Config) (*HMC, error) {
 		h.devs[i] = d
 		h.retry[i] = make([]retryState, cfg.NumLinks)
 	}
-	h.shards = buildShards(cfg)
+	h.shards, h.spans = buildShards(cfg)
+	h.bindOccupancy()
 	h.shardFn = h.runShard
 	if len(h.shards) > 1 {
 		h.sched = sched.New(len(h.shards))
@@ -444,6 +468,7 @@ func (h *HMC) Free() {
 	for i := range h.retry {
 		clear(h.retry[i])
 	}
+	h.retryPending = 0
 	clear(h.seq)
 	h.pool.Reset()
 }
@@ -479,23 +504,14 @@ func (h *HMC) Occupancy() Occupancy {
 // request or response is in flight anywhere in the simulated network,
 // and no link controller holds a transfer awaiting retransmission.
 func (h *HMC) Quiescent() bool {
-	for _, rl := range h.retry {
-		for i := range rl {
-			if rl[i].pending {
-				return false
-			}
-		}
+	if h.retryPending != 0 {
+		return false
 	}
-	for _, d := range h.devs {
-		for i := range d.Links {
-			if d.Links[i].RqstQ.Len() > 0 || d.Links[i].RspQ.Len() > 0 {
-				return false
-			}
-		}
-		for i := range d.Vaults {
-			if d.Vaults[i].RqstQ.Len() > 0 || d.Vaults[i].RspQ.Len() > 0 {
-				return false
-			}
+	for i := range h.occ {
+		o := &h.occ[i]
+		rqst, rsp := o.vaultWords()
+		if o.rqst|o.rsp|rqst|rsp != 0 {
+			return false
 		}
 	}
 	return true

@@ -20,7 +20,7 @@ func TestShardPartition(t *testing.T) {
 	cfg := testConfig() // 1 dev x 16 vaults
 	for _, w := range []int{0, 1, 2, 3, 5, 16, MaxWorkers} {
 		cfg.Workers = w
-		shards := buildShards(cfg)
+		shards, spans := buildShards(cfg)
 		want := w
 		if want < 1 {
 			want = 1
@@ -33,22 +33,25 @@ func TestShardPartition(t *testing.T) {
 		}
 		// The shards tile the device-major vault space contiguously,
 		// exactly once, with sizes differing by at most one.
-		next, min, max := 0, 16, 0
+		next, min, max, nspans := 0, 16, 0, 0
 		for _, sh := range shards {
-			if n := len(sh.units); n < min {
+			n := 0
+			for _, sp := range sh.spans {
+				if sp.dev != 0 || sp.lo != next || sp.hi <= sp.lo {
+					t.Fatalf("Workers=%d: span %d:%d..%d out of order (want vault %d)", w, sp.dev, sp.lo, sp.hi, next)
+				}
+				n += sp.hi - sp.lo
+				next = sp.hi
+				nspans++
+			}
+			if n < min {
 				min = n
 			} else if n > max {
 				max = n
 			}
-			for _, u := range sh.units {
-				if u.dev != 0 || u.vault != next {
-					t.Fatalf("Workers=%d: unit %+v out of order (want vault %d)", w, u, next)
-				}
-				next++
-			}
 		}
-		if next != 16 {
-			t.Fatalf("Workers=%d: %d units covered, want 16", w, next)
+		if next != 16 || nspans != len(spans) {
+			t.Fatalf("Workers=%d: %d units covered in %d of %d spans, want 16", w, next, nspans, len(spans))
 		}
 		if max > 0 && max-min > 1 {
 			t.Errorf("Workers=%d: shard sizes spread %d..%d, want balanced", w, min, max)

@@ -18,8 +18,9 @@ import (
 //
 //   - A shard owns a contiguous range of (device, vault) units in
 //     device-major order. During the parallel window it touches only
-//     state owned by those units (their request/response queues, bank
-//     timers and per-vault fault streams) plus engine state that is
+//     state owned by those units (their request/response queues and the
+//     occupancy words those queues keep, bank timers and per-vault fault
+//     streams) plus engine state that is
 //     read-only for the whole window (clock value, configuration,
 //     address map, trace mask).
 //   - Everything a vault would have written to shared engine state —
@@ -35,10 +36,13 @@ import (
 //     trace events keep the serial stage order because conflict events
 //     buffer separately from vault events and flush first.
 type shard struct {
-	// units is this shard's slice of the flattened (device, vault)
-	// space, in device-major order. Assigned once at construction;
-	// read-only afterwards.
-	units []vaultRef
+	// spans is this shard's slice of the flattened (device, vault) space,
+	// in device-major order: one span per device the shard reaches into,
+	// each carrying the occupancy words of the shard's vaults there (see
+	// occupancy.go). The ranges are assigned once at construction and
+	// read-only afterwards; the words are written by the shard's own
+	// queues.
+	spans []vaultSpan
 
 	// stats accumulates the counter increments of this shard's units for
 	// one cycle; the coordinator folds it into HMC.stats at the merge
@@ -71,35 +75,37 @@ type shard struct {
 	_ [64]byte
 }
 
-// vaultRef names one (device, vault) unit of the flattened vault space.
-type vaultRef struct {
-	dev, vault int
-}
-
 // buildShards partitions the device-major vault space into
 // cfg.effectiveWorkers() contiguous shards whose sizes differ by at most
-// one unit. The partition is a pure function of the configuration — the
-// static assignment the determinism argument rests on.
-func buildShards(cfg Config) []shard {
-	units := make([]vaultRef, 0, cfg.NumDevs*cfg.NumVaults)
-	for d := 0; d < cfg.NumDevs; d++ {
-		for v := 0; v < cfg.NumVaults; v++ {
-			units = append(units, vaultRef{dev: d, vault: v})
-		}
-	}
+// one unit, cut into spans at device boundaries. The partition is a pure
+// function of the configuration — the static assignment the determinism
+// argument rests on. spans is the one block every shard's spans are a
+// slice of: in order it is both shard order and device-major vault
+// order, so a device's spans are contiguous in it too.
+func buildShards(cfg Config) (shards []shard, spans []vaultSpan) {
 	w := cfg.effectiveWorkers()
-	shards := make([]shard, w)
-	base, rem := len(units)/w, len(units)%w
+	units := cfg.NumDevs * cfg.NumVaults
+	base, rem := units/w, units%w
+	first := make([]int, w+1) // shard i owns spans first[i]..first[i+1]
 	off := 0
-	for i := range shards {
-		n := base
+	for i := 0; i < w; i++ {
+		end := off + base
 		if i < rem {
-			n++
+			end++
 		}
-		shards[i].units = units[off : off+n]
-		off += n
+		for off < end {
+			dev, lo := off/cfg.NumVaults, off%cfg.NumVaults
+			hi := min(cfg.NumVaults, lo+end-off)
+			spans = append(spans, vaultSpan{dev: dev, lo: lo, hi: hi})
+			off += hi - lo
+		}
+		first[i+1] = len(spans)
 	}
-	return shards
+	shards = make([]shard, w)
+	for i := range shards {
+		shards[i].spans = spans[first[i]:first[i+1]:first[i+1]]
+	}
+	return shards, spans
 }
 
 // vaultStages runs sub-cycle stages 3 and 4 — bank-conflict recognition
@@ -108,6 +114,12 @@ func buildShards(cfg Config) []shard {
 // without one they run inline on the coordinator, through the same code
 // path, which is what keeps Workers=1 and Workers=N bit-identical.
 func (h *HMC) vaultStages() {
+	if !h.vaultRequestsQueued() {
+		// Both stages only act on queued vault requests, and the shard
+		// accumulators are empty between cycles: nothing to dispatch,
+		// nothing to merge.
+		return
+	}
 	if h.sched != nil {
 		h.sched.Run(h.shardFn)
 	} else {
@@ -118,17 +130,37 @@ func (h *HMC) vaultStages() {
 	h.mergeShards()
 }
 
-// runShard executes one shard's conflict pass and vault pass. It is the
-// worker-side function: everything it writes outside its own vaults'
-// queues goes through the shard accumulators.
+// runShard executes one shard's conflict pass and vault pass over the
+// vaults with a queued request — neither pass does anything observable
+// on an empty queue, the refresh mask included: it only shows through
+// deferred packets. It is the worker-side function: everything it writes
+// outside its own vaults' queues and their occupancy words goes through
+// the shard accumulators.
 func (h *HMC) runShard(si int) {
 	sh := &h.shards[si]
-	for _, u := range sh.units {
-		h.conflictVault(sh, h.devs[u.dev], u.vault)
+	for i := range sh.spans {
+		sp := &sh.spans[i]
+		for v := nextBit(sp.rqst, 0); v < 64; v = nextBit(sp.rqst, v+1) {
+			h.conflictVault(sh, h.devs[sp.dev], v)
+		}
 	}
-	for _, u := range sh.units {
-		h.vaultOne(sh, h.devs[u.dev], u.vault)
+	for i := range sh.spans {
+		sp := &sh.spans[i]
+		for v := nextBit(sp.rqst, 0); v < 64; v = nextBit(sp.rqst, v+1) {
+			h.vaultOne(sh, h.devs[sp.dev], v)
+		}
 	}
+}
+
+// vaultRequestsQueued reports whether any vault request queue holds a
+// packet.
+func (h *HMC) vaultRequestsQueued() bool {
+	for i := range h.spans {
+		if h.spans[i].rqst != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeShards folds the per-shard accumulators back into the engine, in
@@ -170,11 +202,6 @@ func (h *HMC) conflictVault(sh *shard, d *device.Device, vi int) {
 	v := &d.Vaults[vi]
 	q := v.RqstQ
 	n := q.Len()
-	if n == 0 {
-		// Nothing queued: the refresh mask is observable only through
-		// deferred packets, so the whole vault is skipped.
-		return
-	}
 	if window := h.cfg.ConflictWindow; window > 0 && window < n {
 		n = window
 	}

@@ -92,3 +92,41 @@ func benchVaultStage(b *testing.B, workers int) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkClockOnePacket is the fixed cost of a walked cycle: Table I
+// configuration 1 with one request in flight — answered, its response
+// waiting at the host port for a host that does not come — so every stage
+// of Clock runs and none has anything to move. BenchmarkClockSaturated
+// (repository root) is the other end: the same device full. ns/op is one
+// Clock call; the wheel is not consulted.
+func BenchmarkClockOnePacket(b *testing.B) {
+	cfg := Table1Configs()[0]
+	h, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for l := 0; l < cfg.NumLinks; l++ {
+		if err := h.ConnectHost(0, l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := h.SendRequest(0, 1, packet.Request{Addr: 0x1240, Tag: 1, Cmd: packet.CmdRD64}); err != nil {
+		b.Fatal(err)
+	}
+	for h.Occupancy().XbarRsp == 0 {
+		if err := h.Clock(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Clock(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if o := h.Occupancy(); o.XbarRsp != 1 || o.XbarRqst+o.VaultRqst+o.VaultRsp != 0 || h.SkipStats().Wakeups != 0 {
+		b.Fatalf("not one parked response on walked cycles: %+v, %+v", o, h.SkipStats())
+	}
+}

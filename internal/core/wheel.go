@@ -116,84 +116,80 @@ func (h *HMC) AdvanceIdle(target uint64) uint64 {
 // Refresh windows need no wakeups: refresh only gates bank service,
 // which requires a non-empty vault queue — already a walk.
 func (h *HMC) nextWakeup() (wake uint64, ok bool) {
-	for dev := range h.retry {
-		for li := range h.retry[dev] {
-			if h.retry[dev][li].pending {
-				return 0, false
-			}
-		}
+	if h.retryPending != 0 {
+		return 0, false
 	}
 	wake = math.MaxUint64
 	lat := uint64(h.cfg.LinkLatency)
-	for _, d := range h.devs {
-		for vi := range d.Vaults {
-			v := &d.Vaults[vi]
-			if v.RqstQ.Len() > 0 || v.RspQ.Len() > 0 {
+	for i, d := range h.devs {
+		o := &h.occ[i]
+		if rqst, rsp := o.vaultWords(); rqst|rsp != 0 {
+			return 0, false
+		}
+		if o.rqst|o.rsp != 0 && lat <= 1 {
+			return 0, false
+		}
+		for li := nextBit(o.rqst, 0); li < 64; li = nextBit(o.rqst, li+1) {
+			l := &d.Links[li]
+			if !l.Active {
 				return 0, false
 			}
-		}
-		for li := range d.Links {
-			l := &d.Links[li]
-			if n := l.RqstQ.Len(); n > 0 {
-				if !l.Active || lat <= 1 {
-					return 0, false
-				}
-				head := l.RqstQ.At(0)
-				dest := int(head.Packet.CUB())
-				if dest == d.ID || dest < 0 || dest >= h.cfg.NumDevs {
-					// Local delivery (or an error response for an invalid
-					// cube) happens next cycle.
-					return 0, false
-				}
-				if _, routed := h.routes.NextHop(d.ID, dest); !routed {
-					return 0, false
-				}
-				w := head.Arrived + lat
-				if w <= h.clk {
-					// Dwell elapsed: the head is stalled downstream
-					// (full peer queue, link down) — conditions that can
-					// change as soon as other queues move.
-					return 0, false
-				}
-				if h.cfg.XbarPassing {
-					// A local-bound packet behind the head may pass the
-					// stalled remote forward and act immediately.
-					for i := 1; i < n; i++ {
-						if int(l.RqstQ.At(i).Packet.CUB()) == d.ID {
-							return 0, false
-						}
+			head := l.RqstQ.At(0)
+			dest := int(head.Packet.CUB())
+			if dest == d.ID || dest < 0 || dest >= h.cfg.NumDevs {
+				// Local delivery (or an error response for an invalid
+				// cube) happens next cycle.
+				return 0, false
+			}
+			if _, routed := h.routes.NextHop(d.ID, dest); !routed {
+				return 0, false
+			}
+			w := head.Arrived + lat
+			if w <= h.clk {
+				// Dwell elapsed: the head is stalled downstream
+				// (full peer queue, link down) — conditions that can
+				// change as soon as other queues move.
+				return 0, false
+			}
+			if h.cfg.XbarPassing {
+				// A local-bound packet behind the head may pass the
+				// stalled remote forward and act immediately.
+				for i, n := 1, l.RqstQ.Len(); i < n; i++ {
+					if int(l.RqstQ.At(i).Packet.CUB()) == d.ID {
+						return 0, false
 					}
 				}
-				if w < wake {
-					wake = w
-				}
 			}
-			if l.RspQ.Len() > 0 {
-				if !l.Active || lat <= 1 {
-					return 0, false
-				}
-				if l.DstCube < 0 || l.DstCube >= h.cfg.NumDevs {
-					// Host-facing responses drain at the host's pace.
-					return 0, false
-				}
-				if h.linkFailed(d.ID, li) || h.linkFailed(l.DstCube, l.DstLink) {
-					// The rescue pass migrates stranded responses next
-					// cycle.
-					return 0, false
-				}
-				if linkDown(d, li) || linkDown(h.devs[l.DstCube], l.DstLink) {
-					// An administratively-down link can clear at any
-					// register edge; progress is unbounded.
-					return 0, false
-				}
-				head := l.RspQ.At(0)
-				w := head.Arrived + lat
-				if w <= h.clk {
-					return 0, false
-				}
-				if w < wake {
-					wake = w
-				}
+			if w < wake {
+				wake = w
+			}
+		}
+		for li := nextBit(o.rsp, 0); li < 64; li = nextBit(o.rsp, li+1) {
+			l := &d.Links[li]
+			if !l.Active {
+				return 0, false
+			}
+			if l.DstCube < 0 || l.DstCube >= h.cfg.NumDevs {
+				// Host-facing responses drain at the host's pace.
+				return 0, false
+			}
+			if h.linkFailed(d.ID, li) || h.linkFailed(l.DstCube, l.DstLink) {
+				// The rescue pass migrates stranded responses next
+				// cycle.
+				return 0, false
+			}
+			if linkDown(d, li) || linkDown(h.devs[l.DstCube], l.DstLink) {
+				// An administratively-down link can clear at any
+				// register edge; progress is unbounded.
+				return 0, false
+			}
+			head := l.RspQ.At(0)
+			w := head.Arrived + lat
+			if w <= h.clk {
+				return 0, false
+			}
+			if w < wake {
+				wake = w
 			}
 		}
 	}

@@ -256,15 +256,6 @@ func (e *Engine) Transient() bool { return e.roll(e.cfg.TransientPPM) }
 // permanent failure of its carrying link.
 func (e *Engine) LinkFailure() bool { return e.roll(e.cfg.LinkFailPPM) }
 
-// VaultFault reports whether the next vault read returns poisoned data,
-// drawn from the engine's shared stream.
-//
-// Deprecated: the shared stream makes the vault-fault schedule depend on
-// the global interleaving of draws across vaults, which a sharded engine
-// cannot reproduce. Use VaultStream, whose per-vault schedule is
-// independent of cross-vault ordering.
-func (e *Engine) VaultFault() bool { return e.roll(e.cfg.VaultPPM) }
-
 // VaultStream is an independent deterministic fault stream for one
 // vault. Splitting vault faults away from the engine's shared link
 // stream makes the vault-fault schedule a pure function of (seed,

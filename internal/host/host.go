@@ -332,7 +332,7 @@ func (d *Driver) run(gen workload.Generator, n uint64, res Result, st runState) 
 			}
 		}
 		if !d.opts.DisableIdleSkip {
-			d.trySkip(n, &res, st, probe, maxCycles)
+			d.trySkip(n, &res, &st, probe, maxCycles)
 		}
 		if d.h.Clk() > maxCycles {
 			return res, fmt.Errorf("host: run exceeded %d cycles with %d outstanding (%d/%d sent)",
@@ -355,7 +355,7 @@ func (d *Driver) run(gen workload.Generator, n uint64, res Result, st runState) 
 // is in the future): an attempted injection draws generator, selector
 // and sequence state even when it stalls, and those draws are part of
 // the deterministic schedule the walk defines.
-func (d *Driver) trySkip(n uint64, res *Result, st runState, probe *obs.Probe, maxCycles uint64) {
+func (d *Driver) trySkip(n uint64, res *Result, st *runState, probe *obs.Probe, maxCycles uint64) {
 	var target uint64
 	switch {
 	case res.Sent >= n:
@@ -531,6 +531,11 @@ func (d *Driver) inject(gen workload.Generator, n uint64, res *Result) (uint64, 
 // latencies and counting error responses.
 func (d *Driver) drain(res *Result) (completed, errs uint64, err error) {
 	for _, port := range d.drainPorts {
+		if !d.h.RecvReady(port[0], port[1]) {
+			// A receive would only report that nothing is waiting: most
+			// ports on most cycles.
+			continue
+		}
 		if d.h.LinkFailed(port[0], port[1]) {
 			// Responses re-route to surviving host ports; the failed port
 			// carries no further traffic.
@@ -538,16 +543,19 @@ func (d *Driver) drain(res *Result) (completed, errs uint64, err error) {
 		}
 		for {
 			rsp, rerr := d.h.RecvPacket(port[0], port[1])
-			if errors.Is(rerr, core.ErrStall) {
-				break
-			}
-			if errors.Is(rerr, core.ErrLinkFailed) {
-				// The port failed between the census above and this receive
-				// (statically failed links are applied on the first
-				// simulation call): treat it like any other dead port.
-				break
-			}
 			if rerr != nil {
+				// The engine returns both sentinels bare, so the compares
+				// settle it; errors.Is stays for a wrapped one.
+				if rerr == core.ErrStall || errors.Is(rerr, core.ErrStall) {
+					break
+				}
+				if rerr == core.ErrLinkFailed || errors.Is(rerr, core.ErrLinkFailed) {
+					// The port failed between the census above and this
+					// receive (statically failed links are applied on the
+					// first simulation call): treat it like any other dead
+					// port.
+					break
+				}
 				return completed, errs, rerr
 			}
 			// The source link ID identifies the injection link regardless

@@ -85,6 +85,12 @@ type Queue struct {
 	slots []Slot
 	head  int // index of the oldest valid slot
 	count int
+	// occ and bit are the queue's entry in its owner's occupancy index
+	// (Bind): the queue keeps bit set in *occ exactly while it holds a
+	// packet, writing the word only when it goes from empty to non-empty
+	// or back. An unbound queue has no word and skips the bookkeeping.
+	occ *uint64
+	bit uint64
 }
 
 // New returns a queue with the given number of slots. Depth must be at
@@ -127,6 +133,34 @@ func Slab(n, depth int) ([]Queue, error) {
 	return qs, nil
 }
 
+// Bind makes the queue maintain bit of *word from now on: set while the
+// queue is non-empty, clear while it is empty, every other bit of the
+// word left alone. Whoever walks many queues binds them to the bits of a
+// shared word and visits only the set ones. The bit is brought up to date
+// at once, so binding a queue that already holds packets is safe; a queue
+// bound before is released from its old word without touching it. Queues
+// that share a word must not be used concurrently.
+func (q *Queue) Bind(word *uint64, bit uint) {
+	q.occ, q.bit = word, 1<<bit
+	if q.count > 0 {
+		q.markOccupied()
+	} else {
+		q.markEmpty()
+	}
+}
+
+func (q *Queue) markOccupied() {
+	if q.occ != nil {
+		*q.occ |= q.bit
+	}
+}
+
+func (q *Queue) markEmpty() {
+	if q.occ != nil {
+		*q.occ &^= q.bit
+	}
+}
+
 // Depth returns the configured slot count.
 func (q *Queue) Depth() int { return len(q.slots) }
 
@@ -161,7 +195,9 @@ func (q *Queue) Push(p *packet.Packet, clock uint64) error {
 		return ErrFull
 	}
 	q.slots[q.index(q.count)] = Slot{Valid: true, Packet: p, Arrived: clock}
-	q.count++
+	if q.count++; q.count == 1 {
+		q.markOccupied()
+	}
 	return nil
 }
 
@@ -193,7 +229,9 @@ func (q *Queue) Pop() (*packet.Packet, bool) {
 	p := s.Packet
 	*s = Slot{}
 	q.head = q.index(1)
-	q.count--
+	if q.count--; q.count == 0 {
+		q.markEmpty()
+	}
 	return p, true
 }
 
@@ -212,7 +250,9 @@ func (q *Queue) Remove(i int) bool {
 		// advances the ring head.
 		q.slots[q.head] = Slot{}
 		q.head = q.index(1)
-		q.count--
+		if q.count--; q.count == 0 {
+			q.markEmpty()
+		}
 		return true
 	}
 	// Shift everything after i forward by one slot. Slots carry packet
@@ -268,7 +308,9 @@ func (q *Queue) Compact(n int) {
 		src--
 	}
 	q.head = q.index(n - kept)
-	q.count -= n - kept
+	if q.count -= n - kept; q.count == 0 {
+		q.markEmpty()
+	}
 }
 
 // ClearCycleFlags resets the Deferred and Moved marks on every valid
@@ -291,6 +333,7 @@ func (q *Queue) Reset() {
 		q.slots[i] = Slot{}
 	}
 	q.head, q.count = 0, 0
+	q.markEmpty()
 }
 
 // String summarizes occupancy.

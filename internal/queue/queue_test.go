@@ -225,7 +225,9 @@ type modelSlot struct {
 // push/pop/remove/compact/clear-flags sequence and checks it against a
 // plain-slice reference model: the depths the engine uses (and the
 // degenerate ones), started from every head position so each ring
-// operation is exercised across the wrap.
+// operation is exercised across the wrap. Every other queue is bound to a
+// bit of an occupancy word whose other bits belong to someone else; the
+// rest stay as New made them, with no word to keep.
 func TestPropertyFIFOModel(t *testing.T) {
 	pkts := make([]*packet.Packet, 512)
 	for i := range pkts {
@@ -235,6 +237,12 @@ func TestPropertyFIFOModel(t *testing.T) {
 		for start := 0; start < depth; start++ {
 			r := rand.New(rand.NewSource(int64(depth)<<16 | int64(start)))
 			q := MustNew(depth)
+			const others = 0xA5A5_5A5A_C3C3_3C3C
+			word, bit := uint64(others), uint64(0)
+			if start%2 == 1 {
+				bit = 1 << uint(start%64)
+				q.Bind(&word, uint(start%64))
+			}
 			for i := 0; i < start; i++ { // walk the head to the start position
 				if err := q.Push(pkts[0], 0); err != nil {
 					t.Fatal(err)
@@ -322,10 +330,15 @@ func TestPropertyFIFOModel(t *testing.T) {
 					}
 				}
 				checkAgainstModel(t, q, model, depth)
+				if word&^bit != others&^bit {
+					t.Errorf("occupancy word %#x: bits other than %#x changed from %#x", word, bit, uint64(others))
+				}
 				if t.Failed() {
 					t.Fatalf("depth %d start %d: diverged from the model at op %d", depth, start, op)
 				}
 			}
+			q.Reset() // however full the walk left it
+			checkAgainstModel(t, q, nil, depth)
 		}
 	}
 }
@@ -344,6 +357,9 @@ func checkAgainstModel(t *testing.T, q *Queue, model []modelSlot, depth int) {
 	if q.head < 0 || q.head >= depth {
 		t.Errorf("head %d outside the ring", q.head)
 		return
+	}
+	if q.occ != nil && (*q.occ&q.bit != 0) != (len(model) > 0) {
+		t.Errorf("occupancy bit %#x of %#x with %d modelled slots", q.bit, *q.occ, len(model))
 	}
 	for i, m := range model {
 		s := q.At(i)
