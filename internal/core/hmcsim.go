@@ -448,6 +448,14 @@ func (h *HMC) seal() error {
 
 // Free returns all devices to their initial reset state and reopens the
 // topology for reconfiguration. It is the analogue of hmcsim_free.
+//
+// Free also releases the engine's packet free list to a process-wide
+// recycler (packet.Pool.Reset), from which the next engine to run short
+// of buffers — this one after reconfiguration, or another on any
+// goroutine — draws it instead of allocating. Packets still queued at
+// Free are dropped, not recycled. Nothing obtained from the engine may
+// be used after Free: a RecvPacket response's Data, in particular,
+// aliases a buffer that now belongs to someone else.
 func (h *HMC) Free() {
 	for _, d := range h.devs {
 		d.Reset()

@@ -156,10 +156,24 @@ func TestSaturatedVaultPassVerified(t *testing.T) {
 // digests below are those of the revision that decoded every waiting
 // request on every cycle.
 func TestBankArbitrationWithoutCachedBank(t *testing.T) {
-	const (
-		wantState  = uint64(0x3c3116857d76f1c0)
-		wantResult = uint64(0xdacd9422d8d21114)
-	)
+	_, state, result := bankArbitrationRun(t)
+	if state != bankArbitrationState || result != bankArbitrationResult {
+		t.Errorf("state digest %#x, result digest %#x; pinned %#x, %#x",
+			state, result, bankArbitrationState, bankArbitrationResult)
+	}
+}
+
+// The digests bankArbitrationRun ends on.
+const (
+	bankArbitrationState  = uint64(0x3c3116857d76f1c0)
+	bankArbitrationResult = uint64(0xdacd9422d8d21114)
+)
+
+// bankArbitrationRun is the scenario TestBankArbitrationWithoutCachedBank
+// pins. It returns the engine that ran from the start, still holding its
+// last queued packets, and its final state and result digests.
+func bankArbitrationRun(t *testing.T) (h *core.HMC, state, result uint64) {
+	t.Helper()
 	cfg := core.Config{
 		NumDevs: 1, NumLinks: 4, NumVaults: 16, QueueDepth: 16,
 		NumBanks: 8, NumDRAMs: 20, CapacityGB: 2, XbarDepth: 32,
@@ -229,8 +243,5 @@ func TestBankArbitrationWithoutCachedBank(t *testing.T) {
 	if st := hA.Stats(); st.BankConflicts == 0 || st.RefreshStalls == 0 {
 		t.Fatalf("run exercised no arbitration: %+v", st)
 	}
-	if state, result := hA.StateDigest(), sA.result.Sum64(); state != wantState || result != wantResult {
-		t.Errorf("state digest %#x, result digest %#x; pinned %#x, %#x",
-			state, result, wantState, wantResult)
-	}
+	return hA, hA.StateDigest(), sA.result.Sum64()
 }

@@ -49,20 +49,16 @@ func Execute(ctx context.Context, spec JobSpec) (Result, error) {
 	return ExecuteOpts(ctx, spec, ExecOptions{})
 }
 
-// ExecuteProbed is Execute with a live progress probe threaded into the
-// driver's clock loop (host.Options.Progress). The probe never
-// influences the simulation: results are bit-identical with and without
-// it.
-func ExecuteProbed(ctx context.Context, spec JobSpec, probe *obs.Probe) (Result, error) {
-	return ExecuteOpts(ctx, spec, ExecOptions{Probe: probe})
-}
-
 // ExecuteOpts is the full-control executor: Execute plus progress,
 // interrupt, checkpoint and resume hooks. Checkpoint/resume hooks are
 // disabled when the spec attaches a Figure-5 collector — the collector's
 // accumulated series is not part of the checkpoint, so such jobs restart
 // from scratch after a crash instead of resuming with a hole in their
 // series.
+//
+// Once built, the engine is freed on every return path, so its packet
+// buffers feed the next job's engine instead of being regrown
+// (core.HMC.Free).
 func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
 	cfg := spec.Config
 	if cfg.Workers == 0 && spec.Workload.Workers > 0 {
@@ -102,6 +98,7 @@ func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, err
 			return Result{}, err
 		}
 	}
+	defer h.Free()
 	gen, err := spec.Workload.Build(capacity)
 	if err != nil {
 		return Result{}, err

@@ -178,6 +178,54 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 	}
 }
 
+// TestExecuteSharesBuffersAcrossJobs runs Execute from four goroutines,
+// eight jobs each, over the four Table I configurations and a 2x2 mesh
+// fabric. Every job frees its engine, so its packet buffers feed
+// whichever engine runs short next, on any goroutine; every digest must
+// still equal its spec's serial run. Under the race detector the test
+// reports any holder of a buffer past its engine's Free.
+func TestExecuteSharesBuffersAcrossJobs(t *testing.T) {
+	const requests = 4096
+	var specs []JobSpec
+	for _, cfg := range core.Table1Configs() {
+		specs = append(specs, testSpec(cfg.String(), cfg, requests))
+	}
+	specs = append(specs, fabricSpec("mesh", requests))
+	serial := make([]Result, len(specs))
+	for i, spec := range specs {
+		res, err := Execute(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("serial %s: %v", spec.Name, err)
+		}
+		serial[i] = res
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < 8; j++ {
+				i := (g + j) % len(specs)
+				got, err := Execute(context.Background(), specs[i])
+				if err != nil {
+					t.Errorf("goroutine %d job %d (%s): %v", g, j, specs[i].Name, err)
+					return
+				}
+				want := serial[i]
+				if got.ResultDigest != want.ResultDigest || got.StateDigest != want.StateDigest {
+					t.Errorf("goroutine %d job %d (%s): digests %s/%s, serial %s/%s", g, j, specs[i].Name,
+						got.ResultDigest, got.StateDigest, want.ResultDigest, want.StateDigest)
+				}
+				if want.Fabric != nil && (got.Fabric == nil || got.Fabric.FabricDigest != want.Fabric.FabricDigest) {
+					t.Errorf("goroutine %d job %d (%s): fabric result %+v, serial %+v", g, j, specs[i].Name, got.Fabric, want.Fabric)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // blockingRun returns a runFn that parks jobs until release is closed.
 func blockingRun(started chan<- string, release <-chan struct{}) func(context.Context, JobSpec, ExecOptions) (Result, error) {
 	return func(ctx context.Context, spec JobSpec, _ ExecOptions) (Result, error) {
