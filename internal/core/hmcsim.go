@@ -449,13 +449,17 @@ func (h *HMC) seal() error {
 // Free returns all devices to their initial reset state and reopens the
 // topology for reconfiguration. It is the analogue of hmcsim_free.
 //
-// Free also releases the engine's packet free list to a process-wide
-// recycler (packet.Pool.Reset), from which the next engine to run short
-// of buffers — this one after reconfiguration, or another on any
-// goroutine — draws it instead of allocating. Packets still queued at
-// Free are dropped, not recycled. Nothing obtained from the engine may
-// be used after Free: a RecvPacket response's Data, in particular,
-// aliases a buffer that now belongs to someone else.
+// A freed engine rewired as it was built (UseTopology with the topology
+// it ran on) is indistinguishable from a freshly built one: same
+// checkpoint, same digests for any run. What Free keeps is construction,
+// not state — the device slabs, the shard layout and worker pool, the
+// custom router (WithRouter) and the packet free list (packet.Pool.Reset),
+// so the next run draws the buffers this one returned instead of
+// allocating. The tracer and trace mask are kept as well; a reuser that
+// wants different tracing installs it. Packets still queued at Free are
+// dropped, not recycled. Nothing obtained from the engine may be used
+// after Free: a RecvPacket response's Data, in particular, aliases a
+// buffer the next run will overwrite.
 func (h *HMC) Free() {
 	for _, d := range h.devs {
 		d.Reset()

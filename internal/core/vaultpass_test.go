@@ -156,7 +156,7 @@ func TestSaturatedVaultPassVerified(t *testing.T) {
 // digests below are those of the revision that decoded every waiting
 // request on every cycle.
 func TestBankArbitrationWithoutCachedBank(t *testing.T) {
-	_, state, result := bankArbitrationRun(t)
+	_, state, result := bankArbitrationRun(t, newHosted(t, bankArbitrationConfig))
 	if state != bankArbitrationState || result != bankArbitrationResult {
 		t.Errorf("state digest %#x, result digest %#x; pinned %#x, %#x",
 			state, result, bankArbitrationState, bankArbitrationResult)
@@ -169,17 +169,21 @@ const (
 	bankArbitrationResult = uint64(0xdacd9422d8d21114)
 )
 
+// bankArbitrationConfig is the engine bankArbitrationRun runs on, every
+// link a host link (newHosted).
+var bankArbitrationConfig = core.Config{
+	NumDevs: 1, NumLinks: 4, NumVaults: 16, QueueDepth: 16,
+	NumBanks: 8, NumDRAMs: 20, CapacityGB: 2, XbarDepth: 32,
+	ConflictWindow: 12, RefreshInterval: 64, RefreshDuration: 4,
+}
+
 // bankArbitrationRun is the scenario TestBankArbitrationWithoutCachedBank
-// pins. It returns the engine that ran from the start, still holding its
-// last queued packets, and its final state and result digests.
-func bankArbitrationRun(t *testing.T) (h *core.HMC, state, result uint64) {
+// pins, run from the start on hA: a bankArbitrationConfig engine wired by
+// newHosted, never clocked. It returns hA, still holding its last queued
+// packets, and its final state and result digests.
+func bankArbitrationRun(t *testing.T, hA *core.HMC) (h *core.HMC, state, result uint64) {
 	t.Helper()
-	cfg := core.Config{
-		NumDevs: 1, NumLinks: 4, NumVaults: 16, QueueDepth: 16,
-		NumBanks: 8, NumDRAMs: 20, CapacityGB: 2, XbarDepth: 32,
-		ConflictWindow: 12, RefreshInterval: 64, RefreshDuration: 4,
-	}
-	hA := newHosted(t, cfg)
+	cfg := bankArbitrationConfig
 
 	// Three requests per vault straight into the vault queue, two of them
 	// on one bank: the engine has to decode these itself.

@@ -1,7 +1,5 @@
 package packet
 
-import "sync"
-
 // Pool is a free list of packet buffers. The simulation engine draws every
 // in-flight packet from a pool so that the steady-state clock path
 // performs no heap allocation: once the working set of a run has been
@@ -9,12 +7,12 @@ import "sync"
 //
 // A Pool is owned by a single HMC object (one goroutine) and takes no
 // lock: its free list is LIFO and its accounting (InUse) is a pure
-// function of the owner's Get/Put sequence. Whole free lists cross
-// between pools only through Reset, which hands the list to a
-// process-wide recycler that a later Get draws from on a miss, so a
-// finished run's buffers feed the next run instead of being regrown.
-// Which buffer a Get returns is therefore not reproducible across runs —
-// and need not be: every builder (BuildRequestInto, BuildResponseInto,
+// function of the owner's Get/Put sequence. The free list stays with its
+// owner for the owner's whole life — Reset keeps it — so an engine that
+// is freed and reused runs its next job on the buffers of the last one,
+// and no buffer ever crosses from one engine to another. Which buffer a
+// Get returns therefore depends on the owner's history — and need not be
+// reproducible: every builder (BuildRequestInto, BuildResponseInto,
 // ErrorResponseInto) writes every word Words() exposes, so packet
 // contents, and every digest computed over them, never depend on a
 // buffer's history. (The engine's other way in, copying a whole Packet
@@ -33,27 +31,15 @@ import "sync"
 //     its response, response poisoned into an ERROR response) by the
 //     current owner; correlation fields must be read out first.
 //   - After Put the buffer contents are indeterminate; holding a pointer
-//     past Put is a reuse-after-free bug. After Reset the buffer may be
-//     in use by another engine on another goroutine, so the race detector
-//     (CI runs internal/core, internal/packet and internal/server under
-//     it) reports such a holder.
+//     past Put, or past Reset, is a reuse-after-free bug.
 type Pool struct {
 	free []*Packet
-	// box carries free between pools through the recycler, so handing a
-	// list over allocates nothing once a box exists. It is non-nil only
-	// while free is a list drawn from the recycler.
-	box *[]*Packet
 	// outstanding counts Gets minus Puts. It can go negative when
 	// externally built packets are handed to Put (tests push stack
 	// packets straight into device queues); callers must therefore treat
 	// InUse() == 0 as a hint, not a proof of quiescence.
 	outstanding int
 }
-
-// recycled holds the free lists Reset released, each as a *[]*Packet.
-// Like any sync.Pool it may drop lists at a garbage collection; a miss
-// then allocates, exactly as an empty recycler would.
-var recycled sync.Pool
 
 // poolBatch is the number of packets allocated per free-list miss. Batch
 // allocation keeps the warm-up phase from paying one heap allocation per
@@ -66,26 +52,16 @@ func NewPool() *Pool { return &Pool{} }
 // Get returns a packet buffer with unspecified contents.
 func (pl *Pool) Get() *Packet {
 	if len(pl.free) == 0 {
-		pl.refill()
+		batch := make([]Packet, poolBatch)
+		for i := range batch {
+			pl.free = append(pl.free, &batch[i])
+		}
 	}
 	n := len(pl.free) - 1
 	p := pl.free[n]
 	pl.free = pl.free[:n]
 	pl.outstanding++
 	return p
-}
-
-// refill restocks an empty free list: with a list some pool released, or
-// failing that with a freshly allocated batch.
-func (pl *Pool) refill() {
-	if b, _ := recycled.Get().(*[]*Packet); b != nil {
-		pl.free, pl.box = *b, b
-		return
-	}
-	batch := make([]Packet, poolBatch)
-	for i := range batch {
-		pl.free = append(pl.free, &batch[i])
-	}
 }
 
 // Put returns a packet buffer to the free list. p must not be used after
@@ -103,18 +79,8 @@ func (pl *Pool) Put(p *Packet) {
 // simulation.
 func (pl *Pool) InUse() int { return pl.outstanding }
 
-// Reset releases the free list to the recycler, where the next pool to
-// miss picks it up, and zeroes the accounting. Outstanding buffers remain
-// valid Go objects but are no longer tracked; they are not recycled.
-func (pl *Pool) Reset() {
-	if len(pl.free) > 0 {
-		b := pl.box
-		if b == nil {
-			b = new([]*Packet)
-		}
-		*b = pl.free
-		recycled.Put(b)
-	}
-	pl.free, pl.box = nil, nil
-	pl.outstanding = 0
-}
+// Reset zeroes the accounting and keeps the free list, so the owner's
+// next run draws the buffers its last run returned. Outstanding buffers
+// remain valid Go objects but are no longer tracked; they are not
+// recycled.
+func (pl *Pool) Reset() { pl.outstanding = 0 }

@@ -1,72 +1,45 @@
 package packet
 
 import (
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 )
 
-// TestResetFeedsTheNextMiss pins the recycler: a pool that runs dry after
-// another pool's Reset draws exactly the buffers that pool released, in
-// its LIFO order, and moving a list between pools that way allocates
-// nothing.
-func TestResetFeedsTheNextMiss(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop released lists at random")
-	}
-	// With one P and no collection the recycler hands back exactly what
-	// was put. Two collections first empty it of lists other tests
-	// released (the second clears the victim cache).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
-	// Two whole batches, all put back: a's free list is exactly held.
-	a, b := NewPool(), NewPool()
+// TestResetKeepsTheFreeList pins what an engine's Free relies on: after
+// Reset the pool hands back the buffers its last run returned, in LIFO
+// order, and a run over a warm list allocates nothing.
+func TestResetKeepsTheFreeList(t *testing.T) {
+	pl := NewPool()
 	held := make([]*Packet, 2*poolBatch)
 	for i := range held {
-		held[i] = a.Get()
+		held[i] = pl.Get()
 	}
-	for _, p := range held {
-		a.Put(p)
+	for _, p := range held[:poolBatch] {
+		pl.Put(p)
 	}
-	a.Reset()
-	if a.InUse() != 0 {
-		t.Fatalf("InUse after Reset = %d", a.InUse())
+	pl.Reset()
+	if pl.InUse() != 0 {
+		t.Fatalf("InUse after Reset = %d", pl.InUse())
 	}
-	for i := len(held) - 1; i >= 0; i-- {
-		if p := b.Get(); p != held[i] {
-			t.Fatalf("draw %d after the other pool's Reset = %p, want its released %p", len(held)-1-i, p, held[i])
+	for i := poolBatch - 1; i >= 0; i-- {
+		if p := pl.Get(); p != held[i] {
+			t.Fatalf("draw %d after Reset = %p, want the returned %p", poolBatch-1-i, p, held[i])
 		}
 	}
 	for _, p := range held {
-		b.Put(p)
+		pl.Put(p)
 	}
-	b.Reset()
-
-	pools := [2]*Pool{a, b}
 	allocs := testing.AllocsPerRun(20, func() {
-		dst := pools[0]
 		for i := range held {
-			held[i] = dst.Get()
+			held[i] = pl.Get()
 		}
 		for _, p := range held {
-			dst.Put(p)
+			pl.Put(p)
 		}
-		dst.Reset()
-		pools[0], pools[1] = pools[1], pools[0]
+		pl.Reset()
 	})
 	if allocs != 0 {
-		t.Errorf("handing a free list from pool to pool: %v allocs per round, want 0", allocs)
-	}
-
-	if p := NewPool().Get(); !slices.Contains(held, p) {
-		t.Errorf("a new pool's first miss drew %p, not a released buffer", p)
-	}
-	if p := NewPool().Get(); slices.Contains(held, p) {
-		t.Errorf("with the recycler empty a miss drew the in-use buffer %p", p)
+		t.Errorf("a run over a reset pool: %v allocs, want 0", allocs)
 	}
 }
 
@@ -81,10 +54,10 @@ func poisoned() *Packet {
 	return p
 }
 
-// TestBuildersOverwriteRecycledBuffers is the rule that lets buffers cross
-// engines: every builder the engine uses on a pooled buffer writes every
-// word Words() exposes, so a buffer's history never shows in a packet's
-// Words(), Data() or CRC.
+// TestBuildersOverwriteRecycledBuffers is the rule that lets a buffer carry
+// one job's history into the next job on the same engine: every builder
+// the engine uses on a pooled buffer writes every word Words() exposes, so
+// a buffer's history never shows in a packet's Words(), Data() or CRC.
 func TestBuildersOverwriteRecycledBuffers(t *testing.T) {
 	data := make([]uint64, MaxWords)
 	for i := range data {

@@ -307,12 +307,6 @@ func wantsPrometheus(accept string) bool {
 	return false
 }
 
-// NewHandlerWithPprof is NewHandler plus the net/http/pprof profiling
-// endpoints; kept for callers predating HandlerOptions.
-func NewHandlerWithPprof(m *Manager) http.Handler {
-	return NewHandlerWithOptions(m, HandlerOptions{LegacyPaths: true, Pprof: true})
-}
-
 // deprecated wraps a canonical handler for serving on a legacy path: the
 // payload is identical, plus a Deprecation header (RFC 9745 style) and
 // the RFC 8594 Sunset date so clients and proxies can flag the old

@@ -484,7 +484,7 @@ func TestPprofOptIn(t *testing.T) {
 		t.Errorf("default handler serves pprof: HTTP %d", rsp.StatusCode)
 	}
 
-	prof := httptest.NewServer(NewHandlerWithPprof(m))
+	prof := httptest.NewServer(NewHandlerWithOptions(m, HandlerOptions{LegacyPaths: true, Pprof: true}))
 	defer prof.Close()
 	for _, path := range []string{"/debug/pprof/", "/v1/healthz"} {
 		rsp, err := http.Get(prof.URL + path)

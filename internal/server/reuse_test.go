@@ -1,0 +1,226 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"hmcsim/internal/core"
+	"hmcsim/internal/fault"
+	"hmcsim/internal/host"
+)
+
+// emptyIdleEngines drops every parked engine.
+func emptyIdleEngines() {
+	idleEngines.Lock()
+	idleEngines.list = nil
+	idleEngines.Unlock()
+}
+
+// parkedEngines returns a copy of the idle list, oldest first.
+func parkedEngines() []*idleEngine {
+	idleEngines.Lock()
+	defer idleEngines.Unlock()
+	return append([]*idleEngine(nil), idleEngines.list...)
+}
+
+// reuseJob is one execution of the interleaving TestEngineReuseMatchesFreshEngines
+// runs: a spec, the poll at which it is suspended (0: never) and the
+// checkpoint it resumes from (nil: none).
+type reuseJob struct {
+	name      string
+	spec      JobSpec
+	suspendAt int
+	resume    *host.Checkpoint
+}
+
+// run executes j and renders everything it produced — the result, the
+// error and a suspended run's final checkpoint — as bytes.
+func (j reuseJob) run(t *testing.T) (out []byte, final *host.Checkpoint) {
+	t.Helper()
+	eo := ExecOptions{Resume: j.resume}
+	if j.suspendAt > 0 {
+		polls := 0
+		eo.Interrupt = func() error {
+			if polls++; polls >= j.suspendAt {
+				return host.ErrSuspended
+			}
+			return nil
+		}
+		eo.Checkpoint = func(ck *host.Checkpoint) error {
+			final = ck
+			return nil
+		}
+	}
+	res, err := ExecuteOpts(context.Background(), j.spec, eo)
+	if (err != nil) != (j.suspendAt > 0) || (err != nil && !errors.Is(err, host.ErrSuspended)) {
+		t.Fatalf("%s: %v", j.name, err)
+	}
+	if j.suspendAt > 0 && final == nil {
+		t.Fatalf("%s: suspended without a final checkpoint", j.name)
+	}
+	b, jerr := json.Marshal(struct {
+		Result Result
+		Err    string
+		Final  *host.Checkpoint
+	}{res, fmt.Sprint(err), final})
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	return b, final
+}
+
+// TestEngineReuseMatchesFreshEngines interleaves the four Table I
+// configurations, a faulted spec, a 2x2 mesh, a Figure-5 job, a posted
+// job, jobs suspended at polls 1, 7, 100 and 300 — which park engines
+// with packets in flight — and a resume from a checkpoint. Every job's
+// result, error and final checkpoint must be byte-equal to the same job
+// run with the idle list emptied, i.e. on a freshly built engine.
+func TestEngineReuseMatchesFreshEngines(t *testing.T) {
+	const requests = 16384
+	defer emptyIdleEngines()
+	var jobs []reuseJob
+	for _, cfg := range core.Table1Configs() {
+		jobs = append(jobs, reuseJob{name: cfg.String(), spec: testSpec(cfg.String(), cfg, requests)})
+	}
+	faulted := core.Table1Configs()[1]
+	faulted.Fault = fault.Config{
+		TransientPPM: 20000, VaultPPM: 20000, Seed: 5,
+		FailAt: []fault.TimedLinkFailure{{Cycle: 200, Dev: 0, Link: 2}},
+	}
+	fig5 := testSpec("fig5", core.Table1Configs()[0], requests)
+	fig5.Fig5Interval = 64
+	posted := testSpec("posted", core.Table1Configs()[2], requests)
+	posted.Posted = true
+	// Paced, so the run is still in flight at poll 300.
+	paced := testSpec("paced", core.Table1Configs()[3], requests)
+	paced.Workload.GapCycles = 2
+	jobs = append(jobs,
+		reuseJob{name: "faulted", spec: testSpec("faulted", faulted, requests)},
+		reuseJob{name: "mesh", spec: fabricSpec("mesh", requests)},
+		reuseJob{name: "fig5", spec: fig5},
+		reuseJob{name: "posted", spec: posted},
+		reuseJob{name: "suspend@1", spec: jobs[0].spec, suspendAt: 1},
+		reuseJob{name: "suspend@7", spec: fabricSpec("mesh", requests), suspendAt: 7},
+		reuseJob{name: "suspend@100", spec: testSpec("faulted", faulted, requests), suspendAt: 100},
+		reuseJob{name: "suspend@300", spec: paced, suspendAt: 300},
+	)
+
+	// Fresh engines: the list is emptied before every job.
+	fresh := make([][]byte, len(jobs))
+	var ck *host.Checkpoint
+	for i, j := range jobs {
+		emptyIdleEngines()
+		var final *host.Checkpoint
+		fresh[i], final = j.run(t)
+		if j.name == "suspend@100" {
+			ck = final
+		}
+	}
+	resume := reuseJob{name: "resume", spec: jobs[4].spec, resume: ck}
+	emptyIdleEngines()
+	freshResume, _ := resume.run(t)
+
+	// Warm: twice through the interleaving, so every job of the second
+	// round takes an engine an earlier job parked, dirty ones included.
+	emptyIdleEngines()
+	for round := 0; round < 2; round++ {
+		for i, j := range jobs {
+			before := len(parkedEngines())
+			got, _ := j.run(t)
+			if !bytes.Equal(got, fresh[i]) {
+				t.Errorf("round %d, %s: on a reused engine\n%s\nfresh engine\n%s", round, j.name, got, fresh[i])
+			}
+			if round == 1 && len(parkedEngines()) != before {
+				t.Errorf("round 1, %s: built an engine instead of taking a parked one", j.name)
+			}
+			if i == 5 {
+				if got, _ := resume.run(t); !bytes.Equal(got, freshResume) {
+					t.Errorf("round %d, resume: on a reused engine\n%s\nfresh engine\n%s", round, got, freshResume)
+				}
+			}
+		}
+	}
+	// The resumed run ends where the uninterrupted one does.
+	var whole, resumed struct{ Result Result }
+	if err := json.Unmarshal(fresh[4], &whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(freshResume, &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Result.ResultDigest != whole.Result.ResultDigest || resumed.Result.StateDigest != whole.Result.StateDigest {
+		t.Errorf("resumed digests %s/%s, uninterrupted %s/%s", resumed.Result.ResultDigest,
+			resumed.Result.StateDigest, whole.Result.ResultDigest, whole.Result.StateDigest)
+	}
+}
+
+// allocBytes returns the bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestEngineReuseTakesParkedEngine runs one spec twice: the second job
+// takes the engine the first parked — the same object — and allocates
+// under a third of the bytes the first, which built it, did.
+func TestEngineReuseTakesParkedEngine(t *testing.T) {
+	defer emptyIdleEngines()
+	spec := testSpec("warm", core.Table1Configs()[3], 2048)
+	execute := func() {
+		if _, err := Execute(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	emptyIdleEngines()
+	cold := allocBytes(execute)
+	parked := parkedEngines()
+	if len(parked) != 1 {
+		t.Fatalf("%d engines parked after one job, want 1", len(parked))
+	}
+	warm := allocBytes(execute)
+	if now := parkedEngines(); len(now) != 1 || now[0].h != parked[0].h {
+		t.Fatalf("the second job did not take the parked engine: parked %p, now %d engines", parked[0].h, len(now))
+	}
+	t.Logf("cold job %d bytes, warm job %d bytes", cold, warm)
+	if warm*3 >= cold {
+		t.Errorf("a warm job allocated %d bytes, a cold one %d: want under a third", warm, cold)
+	}
+}
+
+// TestEngineReuseCapEvictsOldest parks more distinct engines than the cap
+// holds: the list never grows past it and keeps the most recent ones, in
+// the order they were parked.
+func TestEngineReuseCapEvictsOldest(t *testing.T) {
+	defer emptyIdleEngines()
+	emptyIdleEngines()
+	var cfgs []core.Config
+	for i := 0; i < maxIdleEngines+3; i++ {
+		cfg := core.Table1Configs()[0]
+		cfg.Fault.Seed = uint64(i + 1)
+		cfgs = append(cfgs, cfg)
+		if _, err := Execute(context.Background(), testSpec("cap", cfg, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(parkedEngines()); n > maxIdleEngines {
+			t.Fatalf("after %d jobs %d engines parked, cap %d", i+1, n, maxIdleEngines)
+		}
+	}
+	parked := parkedEngines()
+	if len(parked) != maxIdleEngines {
+		t.Fatalf("%d engines parked, want the cap %d", len(parked), maxIdleEngines)
+	}
+	for i, e := range parked {
+		if want := cfgs[len(cfgs)-maxIdleEngines+i]; !reflect.DeepEqual(e.cfg, want) {
+			t.Errorf("parked[%d] has seed %d, want %d", i, e.cfg.Fault.Seed, want.Fault.Seed)
+		}
+	}
+}

@@ -4,14 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
+	"sync"
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/eval"
+	"hmcsim/internal/fabric"
 	"hmcsim/internal/fabric/engine"
 	"hmcsim/internal/host"
 	"hmcsim/internal/obs"
 	"hmcsim/internal/server/api"
 	"hmcsim/internal/stats"
+	"hmcsim/internal/topo"
 	"hmcsim/internal/trace"
 )
 
@@ -30,9 +35,9 @@ type ExecOptions struct {
 	// the job's context; returning host.ErrSuspended triggers the
 	// suspend-with-final-checkpoint path.
 	Interrupt func() error
-	// Resume, when non-nil, restores this checkpoint into the freshly
-	// built engine and continues the run instead of starting from cycle
-	// zero. Restoration failures surface as ErrBadCheckpoint.
+	// Resume, when non-nil, restores this checkpoint into the job's
+	// engine and continues the run instead of starting from cycle zero.
+	// Restoration failures surface as ErrBadCheckpoint.
 	Resume *host.Checkpoint
 	// CheckpointEvery and Checkpoint enable periodic checkpoint delivery
 	// (host.Options.CheckpointEvery / Checkpoint).
@@ -40,9 +45,9 @@ type ExecOptions struct {
 	Checkpoint      func(*host.Checkpoint) error
 }
 
-// Execute builds an independent simulator instance for spec and runs it
-// to completion, honouring ctx cancellation between clock cycles. It is
-// the unit of work a manager worker performs, exported so clients
+// Execute runs spec to completion on a simulator instance of its own,
+// honouring ctx cancellation between clock cycles. It is the unit of
+// work a manager worker performs, exported so clients
 // (cmd/hmcsim-table1 -json, tests) can produce byte-identical result
 // payloads without a server.
 func Execute(ctx context.Context, spec JobSpec) (Result, error) {
@@ -56,9 +61,12 @@ func Execute(ctx context.Context, spec JobSpec) (Result, error) {
 // from scratch after a crash instead of resuming with a hole in their
 // series.
 //
-// Once built, the engine is freed on every return path, so its packet
-// buffers feed the next job's engine instead of being regrown
-// (core.HMC.Free).
+// The job runs on an engine parked by an earlier job with the same
+// configuration and fabric, rewired, when there is one, and on a newly
+// built one otherwise; on every return path the engine is freed and
+// parked for the next job (DESIGN.md §8, "Engine reuse across jobs").
+// A freed engine is indistinguishable from a new one (core.HMC.Free), so
+// results do not depend on which the job got.
 func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
 	cfg := spec.Config
 	if cfg.Workers == 0 && spec.Workload.Workers > 0 {
@@ -68,37 +76,37 @@ func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, err
 		// parallel as allowed", not an error.
 		cfg.Workers = min(spec.Workload.Workers, core.MaxWorkers)
 	}
-	var col *stats.Fig5Collector
-	var opts []core.Option
-	if spec.Fig5Interval > 0 {
-		col = stats.NewFig5Collector(0, cfg.NumVaults, spec.Fig5Interval)
-		opts = append(opts, core.WithTrace(col, trace.MaskPerf))
+	e, err := takeEngine(cfg, spec.Fabric)
+	if err != nil {
+		return Result{}, err
 	}
+	res, err := e.execute(ctx, spec, eo)
+	e.park()
+	return res, err
+}
 
-	// Build the simulator: a multi-cube fabric when the spec carries a
-	// system graph, the classic single-object wiring otherwise. The
-	// driver, run loop and checkpoint path downstream are identical —
-	// a fabric is one engine whose cubes shard like vaults.
-	var h *core.HMC
-	var sys *engine.System
+// execute runs spec on e's engine, which is freshly built or freed and
+// rewired.
+func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
+	// A fabric runs as one engine whose cubes shard like vaults; the
+	// driver, run loop and checkpoint path downstream are the same as
+	// for the classic single-object wiring.
+	h, sys, cfg := e.h, e.sys, e.cfg
 	capacity := uint64(cfg.CapacityGB) << 30
-	if spec.Fabric != nil {
-		var err error
-		sys, err = engine.Build(*spec.Fabric, cfg, opts...)
-		if err != nil {
-			return Result{}, err
-		}
-		h = sys.Engine()
+	if sys != nil {
 		cfg = sys.Config()
 		capacity = sys.Capacity()
-	} else {
-		var err error
-		h, err = eval.BuildSimpleWithOptions(cfg, opts...)
-		if err != nil {
-			return Result{}, err
-		}
 	}
-	defer h.Free()
+	var col *stats.Fig5Collector
+	var tracer trace.Tracer
+	mask := trace.MaskNone
+	if spec.Fig5Interval > 0 {
+		col = stats.NewFig5Collector(0, cfg.NumVaults, spec.Fig5Interval)
+		tracer, mask = col, trace.MaskPerf
+	}
+	h.SetTracer(tracer)
+	h.SetTraceMask(mask)
+
 	gen, err := spec.Workload.Build(capacity)
 	if err != nil {
 		return Result{}, err
@@ -156,6 +164,74 @@ func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, err
 		out.Fabric = newFabricResult(sys, res)
 	}
 	return out, nil
+}
+
+// maxIdleEngines caps the engines parked between jobs. The bench's
+// service traffic uses the four Table I shapes; a service rotating
+// through more distinct engine keys than this rebuilds engines.
+const maxIdleEngines = 8
+
+// idleEngine is one job's engine: the key it was built from (the
+// effective configuration and the fabric spec, nil for the single-object
+// wiring), the engine, and — while parked — the topology it ran on,
+// which Free drops and the next job re-applies.
+type idleEngine struct {
+	cfg    core.Config
+	fabric *fabric.Spec
+	h      *core.HMC
+	sys    *engine.System // non-nil for a fabric
+	wiring *topo.Topology
+}
+
+// idleEngines holds the parked engines, oldest first.
+var idleEngines struct {
+	sync.Mutex
+	list []*idleEngine
+}
+
+// takeEngine returns an engine for (cfg, fab): the most recently parked
+// one with that key, rewired, or failing that a newly built one.
+func takeEngine(cfg core.Config, fab *fabric.Spec) (*idleEngine, error) {
+	idleEngines.Lock()
+	for i := len(idleEngines.list) - 1; i >= 0; i-- {
+		e := idleEngines.list[i]
+		// Pointers, so comparing does not copy a Config into an interface.
+		if reflect.DeepEqual(&e.cfg, &cfg) && reflect.DeepEqual(e.fabric, fab) {
+			idleEngines.list = slices.Delete(idleEngines.list, i, i+1)
+			idleEngines.Unlock()
+			return e, e.h.UseTopology(e.wiring)
+		}
+	}
+	idleEngines.Unlock()
+
+	e := &idleEngine{cfg: cfg, fabric: fab}
+	if fab != nil {
+		sys, err := engine.Build(*fab, cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.h, e.sys = sys.Engine(), sys
+		return e, nil
+	}
+	h, err := eval.BuildSimple(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.h = h
+	return e, nil
+}
+
+// park frees e's engine, keeping the wiring it ran on, and parks it,
+// evicting the oldest parked engine beyond the cap.
+func (e *idleEngine) park() {
+	e.wiring = e.h.Topology()
+	e.h.Free()
+	idleEngines.Lock()
+	defer idleEngines.Unlock()
+	if len(idleEngines.list) == maxIdleEngines {
+		idleEngines.list = slices.Delete(idleEngines.list, 0, 1)
+	}
+	idleEngines.list = append(idleEngines.list, e)
 }
 
 // newFabricResult assembles the per-cube breakdown of a fabric job.

@@ -180,10 +180,11 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 
 // TestExecuteSharesBuffersAcrossJobs runs Execute from four goroutines,
 // eight jobs each, over the four Table I configurations and a 2x2 mesh
-// fabric. Every job frees its engine, so its packet buffers feed
-// whichever engine runs short next, on any goroutine; every digest must
-// still equal its spec's serial run. Under the race detector the test
-// reports any holder of a buffer past its engine's Free.
+// fabric. Every job parks its freed engine on the shared idle list, and
+// the next job with that spec takes it, with its packet buffers, on
+// whichever goroutine runs it; every digest must still equal its spec's
+// serial run. Under the race detector the test reports any holder of an
+// engine or a buffer past the job that parked it.
 func TestExecuteSharesBuffersAcrossJobs(t *testing.T) {
 	const requests = 4096
 	var specs []JobSpec
