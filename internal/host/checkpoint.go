@@ -108,11 +108,11 @@ func (d *Driver) checkpoint(res *Result, st runState) (*Checkpoint, error) {
 
 // Resume restores ck into the driver and continues the run until
 // completion, exactly as if it had never been interrupted. The driver
-// must be freshly built over a freshly built engine with the same
-// configuration, topology and options as the checkpointed run, and gen
-// must be a fresh generator built from the same workload spec (Resume
-// fast-forwards it to the recorded position). Restoration failures wrap
-// ErrRestore.
+// must be freshly built or Reset over a freshly built (or freed and
+// rewired) engine with the same configuration, topology and options as
+// the checkpointed run, and gen must be a fresh generator built from the
+// same workload spec (Resume fast-forwards it to the recorded position).
+// Restoration failures wrap ErrRestore.
 func (d *Driver) Resume(gen workload.Generator, n uint64, ck *Checkpoint) (Result, error) {
 	if ck == nil || ck.Core == nil {
 		return Result{}, fmt.Errorf("%w: empty checkpoint", ErrRestore)

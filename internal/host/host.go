@@ -12,6 +12,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/obs"
@@ -170,6 +171,8 @@ type Driver struct {
 	// run fast-forwards a fresh generator to.
 	drawn   uint64
 	dataBuf [16]uint64
+	// rr is the default round-robin selector, kept across Resets.
+	rr workload.RoundRobin
 }
 
 // runState groups the loop-carried run variables so Run and Resume can
@@ -184,36 +187,66 @@ type runState struct {
 // NewDriver prepares a driver for h. The topology must already be wired;
 // the device must expose at least one host link.
 func NewDriver(h *core.HMC, opts Options) (*Driver, error) {
-	d := &Driver{h: h, opts: opts}
-	t := h.Topology()
-	d.hostLinks = t.HostLinks(opts.Dev)
-	if len(d.hostLinks) == 0 {
-		return nil, fmt.Errorf("host: device %d has no host links", opts.Dev)
+	d := &Driver{h: h}
+	if err := d.Reset(opts); err != nil {
+		return nil, err
 	}
-	for _, root := range t.Roots() {
+	return d, nil
+}
+
+// Reset prepares d for a new run over its engine with opts, exactly as
+// NewDriver(engine, opts) would, but reusing the tag tables and port
+// lists of the previous run. The engine's topology must be wired; it
+// need not be the one the previous run used. Nothing of the previous
+// run's options survives, hooks included. After an error d is unusable
+// until a Reset succeeds.
+func (d *Driver) Reset(opts Options) error {
+	d.opts = opts
+	d.queued, d.hasQueued, d.drawn = workload.Access{}, false, 0
+	t := d.h.Topology()
+	d.hostLinks = append(d.hostLinks[:0], t.HostLinks(opts.Dev)...)
+	if len(d.hostLinks) == 0 {
+		return fmt.Errorf("host: device %d has no host links", opts.Dev)
+	}
+	d.drainPorts = d.drainPorts[:0]
+	for root := range t.NumDevs() {
 		for _, l := range t.HostLinks(root) {
 			d.drainPorts = append(d.drainPorts, [2]int{root, l})
 		}
 	}
 	if d.opts.Select == nil {
-		d.opts.Select = &workload.RoundRobin{NumLinks: len(d.hostLinks)}
+		d.rr = workload.RoundRobin{NumLinks: len(d.hostLinks)}
+		d.opts.Select = &d.rr
 	}
-	nl := h.Config().NumLinks
-	d.pending = make([][]int64, nl)
-	d.freeTags = make([][]uint16, nl)
-	d.remote = make([][]bool, nl)
-	for _, l := range d.hostLinks {
-		d.remote[l] = make([]bool, packet.MaxTag+1)
-		d.pending[l] = make([]int64, packet.MaxTag+1)
+	if nl := d.h.Config().NumLinks; len(d.pending) != nl {
+		d.pending = make([][]int64, nl)
+		d.freeTags = make([][]uint16, nl)
+		d.remote = make([][]bool, nl)
+	}
+	for l := range d.pending {
+		if !slices.Contains(d.hostLinks, l) {
+			// Not a host link: no tags, and a nil table, which a checkpoint
+			// records as null.
+			d.pending[l], d.freeTags[l], d.remote[l] = nil, nil, nil
+			continue
+		}
+		if d.pending[l] == nil {
+			d.pending[l] = make([]int64, packet.MaxTag+1)
+			d.remote[l] = make([]bool, packet.MaxTag+1)
+			d.freeTags[l] = make([]uint16, 0, packet.MaxTag+1)
+		}
 		for i := range d.pending[l] {
 			d.pending[l][i] = -1
 		}
-		d.freeTags[l] = make([]uint16, 0, packet.MaxTag+1)
+		clear(d.remote[l])
+		// The stack pops from the end, so tag 0 is issued first.
+		ft := d.freeTags[l][:0]
 		for tag := packet.MaxTag; tag >= 0; tag-- {
-			d.freeTags[l] = append(d.freeTags[l], uint16(tag))
+			ft = append(ft, uint16(tag))
 		}
+		d.freeTags[l] = ft
 	}
-	return d, nil
+	return nil
 }
 
 // Run injects n accesses from gen and clocks the simulation until every

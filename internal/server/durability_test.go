@@ -40,11 +40,11 @@ func TestIdempotentSubmit(t *testing.T) {
 
 	spec := testSpec("idem", core.Table1Configs()[0], 256)
 	spec.IdempotencyKey = "key-manager"
-	st1, created, err := m.SubmitIdem(spec)
+	st1, created, err := m.SubmitTenant(spec, "")
 	if err != nil || !created {
 		t.Fatalf("first submit: created=%v err=%v", created, err)
 	}
-	st2, created, err := m.SubmitIdem(spec)
+	st2, created, err := m.SubmitTenant(spec, "")
 	if err != nil || created {
 		t.Fatalf("second submit: created=%v err=%v", created, err)
 	}
@@ -234,7 +234,7 @@ func TestJournalRecovery(t *testing.T) {
 	}
 
 	// The idempotency index survived: the same key maps to the old job.
-	rst, created, err := m.SubmitIdem(spec)
+	rst, created, err := m.SubmitTenant(spec, "")
 	if err != nil || created || rst.ID != "job-000001" {
 		t.Errorf("key after restart: id=%s created=%v err=%v, want job-000001 replay",
 			rst.ID, created, err)
@@ -410,6 +410,11 @@ func TestRecoveringRejectsSubmissions(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	// Recovery ends once the backlog is requeued, not run: the third
+	// backlog job can still hold the one queue slot. Wait for all three.
+	for i := 1; i <= 3; i++ {
+		waitTerminal(t, m, fmt.Sprintf("job-%06d", i))
+	}
 	if _, err := m.Submit(spec); err != nil {
 		t.Errorf("submit after recovery: %v", err)
 	}
@@ -517,7 +522,7 @@ func TestCacheJournalRecovery(t *testing.T) {
 
 	// Idempotency and cache metadata agree across the crash: the keyed
 	// resubmit resolves to the original hit job, not a new one.
-	again, created, err := m2.SubmitIdem(hspec)
+	again, created, err := m2.SubmitTenant(hspec, "")
 	if err != nil || created || again.ID != hit.ID {
 		t.Errorf("idempotent resubmit after crash: id=%s created=%v err=%v, want %s/false/nil",
 			again.ID, created, err, hit.ID)

@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 
 	"hmcsim/internal/server/api"
 )
@@ -335,12 +336,45 @@ func submitStatus(err error) (code string, status int) {
 	}
 }
 
+// jsonEncoder is a pooled indenting encoder. The json.Encoder writes
+// through it to w, which is set for one Encode; the encoder's indent
+// buffer, which a fresh encoder would regrow for every response, lives
+// on across responses.
+type jsonEncoder struct {
+	enc *json.Encoder
+	w   io.Writer
+	n   int // bytes of the last write
+}
+
+func (e *jsonEncoder) Write(p []byte) (int, error) {
+	e.n = len(p)
+	return e.w.Write(p)
+}
+
+// maxPooledJSON bounds the response size whose encoder goes back to the
+// pool, so one large listing does not pin its indent buffer.
+const maxPooledJSON = 1 << 20
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := &jsonEncoder{}
+	e.enc = json.NewEncoder(e)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
+// writeJSON writes v as indented JSON plus a newline — the bytes of
+// json.MarshalIndent(v, "", "  ") and "\n" — in one Write.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	e := jsonEncoders.Get().(*jsonEncoder)
+	e.w, e.n = w, 0
+	err := e.enc.Encode(v)
+	e.w = nil
+	// A failed write leaves the encoder's error sticky: drop it.
+	if err == nil && e.n <= maxPooledJSON {
+		jsonEncoders.Put(e)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {

@@ -434,23 +434,18 @@ func (m *Manager) RetryAfter() int {
 // immediately (explicit backpressure), a closed manager
 // ErrShuttingDown, a recovering one ErrRecovering.
 func (m *Manager) Submit(spec JobSpec) (Status, error) {
-	st, _, err := m.SubmitIdem(spec)
+	st, _, err := m.SubmitTenant(spec, "")
 	return st, err
 }
 
-// SubmitIdem is Submit with idempotency-key resolution surfaced: created
-// is false when the spec's key matched an existing job and that job's
-// status was returned instead of creating a new one.
-func (m *Manager) SubmitIdem(spec JobSpec) (st Status, created bool, err error) {
-	return m.SubmitTenant(spec, "")
-}
-
-// SubmitTenant is SubmitIdem on behalf of an authenticated tenant
-// (internal name; "" is the anonymous tenant). The tenant's MaxQueued
-// quota is checked against its own lane plus its retry-parked jobs —
-// but only for submissions that would occupy a queue slot: cache hits
-// and coalesced followers never count against it, mirroring the
-// service-wide capacity check.
+// SubmitTenant is Submit on behalf of an authenticated tenant (internal
+// name; "" is the anonymous tenant), with idempotency-key resolution
+// surfaced: created is false when the spec's key matched an existing job
+// and that job's status was returned instead of creating a new one. The
+// tenant's MaxQueued quota is checked against its own lane plus its
+// retry-parked jobs — but only for submissions that would occupy a queue
+// slot: cache hits and coalesced followers never count against it,
+// mirroring the service-wide capacity check.
 func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created bool, err error) {
 	if err := spec.Validate(); err != nil {
 		return Status{}, false, err

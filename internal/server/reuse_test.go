@@ -170,8 +170,9 @@ func allocBytes(fn func()) uint64 {
 }
 
 // TestEngineReuseTakesParkedEngine runs one spec twice: the second job
-// takes the engine the first parked — the same object — and allocates
-// under a third of the bytes the first, which built it, did.
+// takes the engine and the host driver the first parked — the same
+// objects — and allocates under 8 KB, a small fraction of the bytes the
+// first, which built them, did.
 func TestEngineReuseTakesParkedEngine(t *testing.T) {
 	defer emptyIdleEngines()
 	spec := testSpec("warm", core.Table1Configs()[3], 2048)
@@ -186,13 +187,17 @@ func TestEngineReuseTakesParkedEngine(t *testing.T) {
 	if len(parked) != 1 {
 		t.Fatalf("%d engines parked after one job, want 1", len(parked))
 	}
+	h, d := parked[0].h, parked[0].d
+	if d == nil {
+		t.Fatal("the first job parked no driver")
+	}
 	warm := allocBytes(execute)
-	if now := parkedEngines(); len(now) != 1 || now[0].h != parked[0].h {
-		t.Fatalf("the second job did not take the parked engine: parked %p, now %d engines", parked[0].h, len(now))
+	if now := parkedEngines(); len(now) != 1 || now[0].h != h || now[0].d != d {
+		t.Fatalf("the second job did not take the parked engine and driver: parked %p/%p, now %d engines", h, d, len(now))
 	}
 	t.Logf("cold job %d bytes, warm job %d bytes", cold, warm)
-	if warm*3 >= cold {
-		t.Errorf("a warm job allocated %d bytes, a cold one %d: want under a third", warm, cold)
+	if warm >= 8<<10 {
+		t.Errorf("a warm job allocated %d bytes (a cold one %d): want under 8 KB", warm, cold)
 	}
 }
 

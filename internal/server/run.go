@@ -64,9 +64,10 @@ func Execute(ctx context.Context, spec JobSpec) (Result, error) {
 // The job runs on an engine parked by an earlier job with the same
 // configuration and fabric, rewired, when there is one, and on a newly
 // built one otherwise; on every return path the engine is freed and
-// parked for the next job (DESIGN.md §8, "Engine reuse across jobs").
-// A freed engine is indistinguishable from a new one (core.HMC.Free), so
-// results do not depend on which the job got.
+// parked for the next job, host driver included (DESIGN.md §8, "Engine
+// reuse across jobs"). A freed engine is indistinguishable from a new
+// one (core.HMC.Free), and a Reset driver from a new one
+// (host.Driver.Reset), so results do not depend on which the job got.
 func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
 	cfg := spec.Config
 	if cfg.Workers == 0 && spec.Workload.Workers > 0 {
@@ -86,7 +87,8 @@ func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, err
 }
 
 // execute runs spec on e's engine, which is freshly built or freed and
-// rewired.
+// rewired, through e's driver, which is built on the engine's first job
+// and Reset for every later one.
 func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
 	// A fabric runs as one engine whose cubes shard like vaults; the
 	// driver, run loop and checkpoint path downstream are the same as
@@ -133,15 +135,18 @@ func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) 
 		hopts.CheckpointEvery = eo.CheckpointEvery
 		hopts.Checkpoint = eo.Checkpoint
 	}
-	var d *host.Driver
 	if sys != nil {
-		d, err = sys.NewDriver(hopts)
+		hopts.Dev, hopts.Route = sys.InjectDev(), sys.Route
+	}
+	if e.d == nil {
+		e.d, err = host.NewDriver(h, hopts)
 	} else {
-		d, err = host.NewDriver(h, hopts)
+		err = e.d.Reset(hopts)
 	}
 	if err != nil {
 		return Result{}, err
 	}
+	d := e.d
 	var res host.Result
 	if eo.Resume != nil && resumable {
 		res, err = d.Resume(gen, spec.Requests, eo.Resume)
@@ -173,13 +178,15 @@ const maxIdleEngines = 8
 
 // idleEngine is one job's engine: the key it was built from (the
 // effective configuration and the fabric spec, nil for the single-object
-// wiring), the engine, and — while parked — the topology it ran on,
-// which Free drops and the next job re-applies.
+// wiring), the engine, the host driver over it (nil until a job built
+// one), and — while parked — the topology it ran on, which Free drops
+// and the next job re-applies.
 type idleEngine struct {
 	cfg    core.Config
 	fabric *fabric.Spec
 	h      *core.HMC
 	sys    *engine.System // non-nil for a fabric
+	d      *host.Driver
 	wiring *topo.Topology
 }
 
@@ -222,8 +229,20 @@ func takeEngine(cfg core.Config, fab *fabric.Spec) (*idleEngine, error) {
 }
 
 // park frees e's engine, keeping the wiring it ran on, and parks it,
-// evicting the oldest parked engine beyond the cap.
+// evicting the oldest parked engine beyond the cap. The driver is reset
+// to plain options first, so a parked engine holds none of the finished
+// job's hooks: its interrupt closure (and through it the job's context),
+// probe and checkpoint sink.
 func (e *idleEngine) park() {
+	if e.d != nil {
+		var plain host.Options
+		if e.sys != nil {
+			plain.Dev = e.sys.InjectDev()
+		}
+		if e.d.Reset(plain) != nil {
+			e.d = nil
+		}
+	}
 	e.wiring = e.h.Topology()
 	e.h.Free()
 	idleEngines.Lock()
