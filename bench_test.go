@@ -19,7 +19,6 @@
 package hmcsim_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -674,7 +673,7 @@ func BenchmarkGlibcRand(b *testing.B) {
 // BenchmarkClockSaturated measures the wall cost of one Clock call on a
 // fully loaded device.
 func BenchmarkClockSaturated(b *testing.B) {
-	benchClockSaturated(b, 0, nil)
+	benchClockSaturated(b, nil)
 }
 
 // BenchmarkClockSaturatedProbe is the saturated clock loop with the live
@@ -685,25 +684,11 @@ func BenchmarkClockSaturated(b *testing.B) {
 func BenchmarkClockSaturatedProbe(b *testing.B) {
 	probe := new(obs.Probe)
 	probe.Begin(uint64(b.N), time.Now())
-	benchClockSaturated(b, 0, probe)
+	benchClockSaturated(b, probe)
 }
 
-// BenchmarkClockSaturatedWorkers sweeps the sharded vault pipeline's
-// worker count over the same saturated clock loop. The w=1 row is the
-// serial engine (no pool); higher counts measure the dispatch overhead
-// and, on multi-core hosts, the per-cycle speedup. Results are
-// bit-identical across the sweep — only wall clock differs.
-func BenchmarkClockSaturatedWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			benchClockSaturated(b, w, nil)
-		})
-	}
-}
-
-func benchClockSaturated(b *testing.B, workers int, probe *obs.Probe) {
+func benchClockSaturated(b *testing.B, probe *obs.Probe) {
 	cfg := core.Table1Configs()[0]
-	cfg.Workers = workers
 	h, err := eval.BuildSimple(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -15,8 +15,7 @@
 // recorder: fresh bench output on stdin is compared against the named
 // committed record, and any benchmark whose ns/op exceeds its committed
 // value by more than -tolerance (default 10%) fails the run. This is the
-// `make bench-compare` target, which guards the serial rows against the
-// sharded vault pipeline slowing down the Workers=1 path.
+// `make bench-compare` target.
 package main
 
 import (
@@ -68,11 +67,7 @@ func main() {
 
 	rec := record{
 		Note: "core hot-path contract: >=2x vs baseline on the Table I configs, " +
-			"0 allocs/op in the saturated clock loop (serial and sharded). " +
-			"The ClockSaturatedWorkers/VaultStage w>1 rows measure the worker " +
-			"pool's dispatch overhead; on a single-core CI box they cannot beat " +
-			"the serial row — results are bit-identical either way, only wall " +
-			"clock differs on multi-core hosts. The Sparse_* pairs measure the " +
+			"0 allocs/op in the saturated clock loop. The Sparse_* pairs measure the " +
 			"event-wheel idle skip: each wheel row's speedup is derived from " +
 			"its Walk twin (same simulation forced to walk every cycle) in the " +
 			"same run, and the contract is >=5x.",

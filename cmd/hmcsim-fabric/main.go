@@ -50,7 +50,6 @@ func main() {
 	inject := flag.Int("inject", 0, "cube whose host links carry the injected traffic")
 	specPath := flag.String("spec", "", "load the system graph from this JSON spec instead of the shape flags")
 	requests := flag.Uint64("requests", 1<<16, "requests to inject")
-	workers := flag.Int("workers", 0, "worker goroutines sharding the (cube, vault) units (0 = serial)")
 	seed := flag.Uint("seed", 1, "workload seed")
 	writePct := flag.Int("write", 30, "write percentage of the random workload")
 	jsonOut := flag.Bool("json", false, "emit the run as JSON instead of tables")
@@ -90,7 +89,6 @@ func main() {
 	cube := core.Config{
 		NumDevs: 1, NumLinks: 4, NumVaults: 16, QueueDepth: 64,
 		NumBanks: 8, NumDRAMs: 20, CapacityGB: 2, XbarDepth: 128,
-		Workers: *workers,
 	}
 	sys, err := engine.Build(spec, cube)
 	if err != nil {

@@ -10,8 +10,8 @@
 //
 // With -json the command emits a machine-readable record whose rows use
 // the simulation service's result schema (server.Result), including the
-// determinism digests, so serial CLI runs and concurrent service runs
-// are directly comparable.
+// determinism digests, so CLI runs and service runs are directly
+// comparable.
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/eval"
@@ -44,8 +43,6 @@ func main() {
 	paper := flag.Bool("paper", false, "run at the paper's full scale (33,554,432 requests)")
 	seed := flag.Uint("seed", 1, "glibc LCG seed for the random workload")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (the service's result schema) instead of the table")
-	workers := flag.Int("workers", 0, "shard worker count per simulation (0 = serial; results are bit-identical for any value)")
-	concurrent := flag.Bool("concurrent", true, "run the four configurations concurrently (rows and digests are unaffected)")
 	flag.Parse()
 
 	n := *requests
@@ -53,16 +50,13 @@ func main() {
 		n = eval.PaperRequests
 	}
 	if *jsonOut {
-		if err := emitJSON(n, uint32(*seed), *workers, *concurrent); err != nil {
+		if err := emitJSON(n, uint32(*seed)); err != nil {
 			fmt.Fprintln(os.Stderr, "hmcsim-table1:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	res, err := eval.RunTableIOpts(eval.TableIOpts{
-		Requests: n, Seed: uint32(*seed),
-		Workers: *workers, Concurrent: *concurrent,
-	})
+	res, err := eval.RunTableI(n, uint32(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hmcsim-table1:", err)
 		os.Exit(1)
@@ -76,15 +70,11 @@ func main() {
 }
 
 // emitJSON runs the four configurations through the service's executor
-// and prints the shared result schema. The outer loop runs the four
-// independent simulations concurrently when asked; rows stay in Table I
-// order and every digest matches the serial run.
-func emitJSON(n uint64, seed uint32, workers int, concurrent bool) error {
+// and prints the shared result schema.
+func emitJSON(n uint64, seed uint32) error {
 	cfgs := core.Table1Configs()
 	rep := jsonReport{Requests: n, Seed: seed, Rows: make([]api.Result, len(cfgs))}
-	run := func(i int) error {
-		cfg := cfgs[i]
-		cfg.Workers = workers
+	for i, cfg := range cfgs {
 		res, err := server.Execute(context.Background(), api.SubmitRequest{
 			Config:   cfg,
 			Workload: workload.TableISpec(seed),
@@ -94,30 +84,6 @@ func emitJSON(n uint64, seed uint32, workers int, concurrent bool) error {
 			return fmt.Errorf("%v: %w", cfg, err)
 		}
 		rep.Rows[i] = res
-		return nil
-	}
-	if concurrent {
-		var wg sync.WaitGroup
-		errs := make([]error, len(cfgs))
-		for i := range cfgs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = run(i)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := range cfgs {
-			if err := run(i); err != nil {
-				return err
-			}
-		}
 	}
 	c := func(i int) float64 { return float64(rep.Rows[i].Cycles) }
 	// Rows: 0 = 4L/8B, 1 = 4L/16B, 2 = 8L/8B, 3 = 8L/16B.

@@ -78,49 +78,35 @@ func Verify(h *core.HMC) error {
 // replaced in the engine: the scan lives on here as the reference.
 func verifyOccupancy(h *core.HMC) error {
 	cfg := h.Config()
-	words, retries := h.OccupancyIndex()
-	// covered[dev][0] and [1] collect the links and vaults some word covers.
-	covered := make([][2]uint64, cfg.NumDevs)
-	for _, w := range words {
-		layer, n, k := "link", cfg.NumLinks, 0
-		if w.Vaults {
-			layer, n, k = "vault", cfg.NumVaults, 1
-		}
-		if w.Dev < 0 || w.Dev >= cfg.NumDevs || w.Lo < 0 || w.Hi > n || w.Lo >= w.Hi {
-			return fmt.Errorf("check: occupancy word covers %ss %d..%d of dev %d", layer, w.Lo, w.Hi, w.Dev)
-		}
-		d := h.Device(w.Dev)
-		var span, rqst, rsp uint64
-		for i := w.Lo; i < w.Hi; i++ {
-			bit := uint64(1) << uint(i)
-			span |= bit
-			var rq, rs *queue.Queue
-			if w.Vaults {
-				rq, rs = d.Vaults[i].RqstQ, d.Vaults[i].RspQ
-			} else {
-				rq, rs = d.Links[i].RqstQ, d.Links[i].RspQ
-			}
+	index, retries := h.OccupancyIndex()
+	if len(index) != cfg.NumDevs {
+		return fmt.Errorf("check: occupancy index has %d entries for %d devices", len(index), cfg.NumDevs)
+	}
+	// occupied returns the word pair a scan of n queue pairs finds.
+	occupied := func(n int, pair func(i int) (*queue.Queue, *queue.Queue)) (rqst, rsp uint64) {
+		for i := 0; i < n; i++ {
+			rq, rs := pair(i)
 			if rq.Len() > 0 {
-				rqst |= bit
+				rqst |= 1 << uint(i)
 			}
 			if rs.Len() > 0 {
-				rsp |= bit
+				rsp |= 1 << uint(i)
 			}
 		}
-		if w.Rqst != rqst || w.Rsp != rsp {
-			return fmt.Errorf("check: dev %d %ss %d..%d: occupancy index says rqst %#x rsp %#x, the queues say rqst %#x rsp %#x",
-				w.Dev, layer, w.Lo, w.Hi, w.Rqst, w.Rsp, rqst, rsp)
-		}
-		if covered[w.Dev][k]&span != 0 {
-			return fmt.Errorf("check: dev %d %ss %d..%d covered by two occupancy words", w.Dev, layer, w.Lo, w.Hi)
-		}
-		covered[w.Dev][k] |= span
+		return rqst, rsp
 	}
 	pending := 0
-	for cube := range covered {
-		if covered[cube] != [2]uint64{1<<uint(cfg.NumLinks) - 1, 1<<uint(cfg.NumVaults) - 1} {
-			return fmt.Errorf("check: dev %d: occupancy index covers links %#x and vaults %#x, not all of them",
-				cube, covered[cube][0], covered[cube][1])
+	for cube, got := range index {
+		d := h.Device(cube)
+		var want core.OccupancyWords
+		want.Rqst, want.Rsp = occupied(cfg.NumLinks, func(i int) (*queue.Queue, *queue.Queue) {
+			return d.Links[i].RqstQ, d.Links[i].RspQ
+		})
+		want.VaultRqst, want.VaultRsp = occupied(cfg.NumVaults, func(i int) (*queue.Queue, *queue.Queue) {
+			return d.Vaults[i].RqstQ, d.Vaults[i].RspQ
+		})
+		if got != want {
+			return fmt.Errorf("check: dev %d: occupancy index says %+v, the queues say %+v", cube, got, want)
 		}
 		for li := 0; li < cfg.NumLinks; li++ {
 			if h.RetryBuffered(cube, li) {

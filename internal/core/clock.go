@@ -68,10 +68,7 @@ func (h *HMC) Clock() error {
 	}
 
 	// Stages 3 and 4: bank conflict recognition, then vault queue memory
-	// request transactions. Both stages are per-vault independent, so
-	// they run as one sharded dispatch — serially for Workers<=1, across
-	// the worker pool otherwise — and merge back in vault-index order
-	// before the serial response stage (see shard.go and DESIGN.md §10).
+	// request transactions (see vault.go and DESIGN.md §10).
 	h.vaultStages()
 
 	// Stage 5: response registration, root devices first so their queues
@@ -144,11 +141,10 @@ func (h *HMC) clearCycleFlags() {
 		for l := nextBit(o.rsp, 0); l < 64; l = nextBit(o.rsp, l+1) {
 			d.Links[l].RspQ.ClearCycleFlags()
 		}
-		rqst, rsp := o.vaultWords()
-		for v := nextBit(rqst, 0); v < 64; v = nextBit(rqst, v+1) {
+		for v := nextBit(o.vrqst, 0); v < 64; v = nextBit(o.vrqst, v+1) {
 			d.Vaults[v].RqstQ.ClearCycleFlags()
 		}
-		for v := nextBit(rsp, 0); v < 64; v = nextBit(rsp, v+1) {
+		for v := nextBit(o.vrsp, 0); v < 64; v = nextBit(o.vrsp, v+1) {
 			d.Vaults[v].RspQ.ClearCycleFlags()
 		}
 	}
@@ -708,8 +704,7 @@ func (h *HMC) responseStage(cube int) {
 	}
 
 	// Vault response queues drain into crossbar response queues.
-	_, vaultRsp := o.vaultWords()
-	for vi := nextBit(vaultRsp, 0); vi < 64; vi = nextBit(vaultRsp, vi+1) {
+	for vi := nextBit(o.vrsp, 0); vi < 64; vi = nextBit(o.vrsp, vi+1) {
 		v := &d.Vaults[vi]
 		for v.RspQ.Len() > 0 {
 			p := v.RspQ.Head().Packet

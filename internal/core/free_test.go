@@ -175,7 +175,8 @@ type freeCase struct {
 
 // freeCases lists the shapes: the four Table I configurations, a 2-cube
 // chain, a 2x2 mesh with its dimension-order router, functional storage,
-// one and four workers, and statically failed links and vaults. Every
+// the ignored worker count set to one and four, and statically failed
+// links and vaults. Every
 // case runs under transient link and vault faults and one timed link
 // failure.
 func freeCases() []freeCase {

@@ -7,7 +7,6 @@ import (
 	"hmcsim/internal/device"
 	"hmcsim/internal/fault"
 	"hmcsim/internal/packet"
-	"hmcsim/internal/sched"
 	"hmcsim/internal/topo"
 	"hmcsim/internal/trace"
 )
@@ -87,30 +86,20 @@ type HMC struct {
 	// response and request sub-cycle stages.
 	rootOrder, childOrder []int
 
-	// shards is the static partition of the (device, vault) space for
-	// the sharded bank-conflict/vault stages; sched is the worker pool
-	// that executes it, nil when the effective worker count is one (the
-	// shards then run inline on the coordinator). shardFn is the stored
-	// dispatch closure, allocated once so the per-cycle Run call does
-	// not allocate. See shard.go and DESIGN.md §10.
-	shards  []shard
-	sched   *sched.Pool
-	shardFn func(worker int)
+	// occ is the occupancy index, one entry per device: a bit per queue,
+	// set while the queue is non-empty, kept by the queues themselves and
+	// read by every per-cycle walk. See occupancy.go.
+	occ []devOcc
 
-	// occ (per device) and spans (per device and shard: the block the
-	// shards' and the devices' spans are slices of) are the occupancy
-	// index: a bit per queue, set while the queue is non-empty, kept by
-	// the queues themselves and read by every per-cycle walk. See
-	// occupancy.go.
-	occ   []devOcc
-	spans []vaultSpan
+	// rdbuf is the scratch buffer for bank read data en route to a
+	// response packet (serviceVaultRequest).
+	rdbuf [16]uint64
 
 	// fault is the deterministic fault engine (see package fault).
 	fault *fault.Engine
 	// vaultFaults holds one independent fault stream per (device, vault),
-	// indexed [dev][vault]. Each stream is owned by the shard that owns
-	// its vault, so shards draw vault faults concurrently without
-	// perturbing each other's schedules (see fault.VaultStream).
+	// indexed [dev][vault], so a vault's poisoned reads do not depend on
+	// what other vaults drew (see fault.VaultStream).
 	vaultFaults [][]fault.VaultStream
 	// retry holds the per-host-link retry buffers of the link
 	// controllers, indexed [dev][link]: a transfer corrupted by a
@@ -199,12 +188,7 @@ func New(cfg Config) (*HMC, error) {
 		h.devs[i] = d
 		h.retry[i] = make([]retryState, cfg.NumLinks)
 	}
-	h.shards, h.spans = buildShards(cfg)
 	h.bindOccupancy()
-	h.shardFn = h.runShard
-	if len(h.shards) > 1 {
-		h.sched = sched.New(len(h.shards))
-	}
 	h.vaultFaults = make([][]fault.VaultStream, cfg.NumDevs)
 	for i := range h.vaultFaults {
 		h.vaultFaults[i] = make([]fault.VaultStream, cfg.NumVaults)
@@ -452,7 +436,7 @@ func (h *HMC) seal() error {
 // A freed engine rewired as it was built (UseTopology with the topology
 // it ran on) is indistinguishable from a freshly built one: same
 // checkpoint, same digests for any run. What Free keeps is construction,
-// not state — the device slabs, the shard layout and worker pool, the
+// not state — the device slabs, the occupancy index, the
 // custom router (WithRouter) and the packet free list (packet.Pool.Reset),
 // so the next run draws the buffers this one returned instead of
 // allocating. The tracer and trace mask are kept as well; a reuser that
@@ -521,8 +505,7 @@ func (h *HMC) Quiescent() bool {
 	}
 	for i := range h.occ {
 		o := &h.occ[i]
-		rqst, rsp := o.vaultWords()
-		if o.rqst|o.rsp|rqst|rsp != 0 {
+		if o.rqst|o.rsp|o.vrqst|o.vrsp != 0 {
 			return false
 		}
 	}

@@ -192,9 +192,9 @@ func (r *occupancyRig) settle() {
 // AdvanceIdle, Recv, a push straight into a vault queue, Free, and a
 // checkpoint carried through its wire form into a fresh engine — under
 // one-request-in-flight and saturating traffic with transient link faults,
-// serial and sharded (three shards put a shard across the cube boundary),
-// with single-cycle and dwelling hops. The digests are those of the
-// revision before the index existed.
+// with single-cycle and dwelling hops. The w= subtests set the ignored
+// Config.Workers; each must reach the same digests. The digests are those
+// of the revision before the index existed.
 func TestOccupancyIndexEveryPath(t *testing.T) {
 	pinned := map[int][2]uint64{ // LinkLatency -> final state digest, result digest
 		1: {0x16d629060bd7e5ea, 0xcfe3e2ba79db08de},

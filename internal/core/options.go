@@ -29,16 +29,6 @@ func WithFault(fc fault.Config) Option {
 	}
 }
 
-// WithWorkers overrides the clock engine's shard worker count
-// (Config.Workers): the per-cycle vault pipeline runs across n workers,
-// with results bit-identical to the serial engine for any n. Values
-// outside [0, MaxWorkers] fail construction with ErrConfig.
-func WithWorkers(n int) Option {
-	return func(b *builder) {
-		b.cfgMut = append(b.cfgMut, func(c *Config) { c.Workers = n })
-	}
-}
-
 // WithTopology wires the object with a prebuilt topology (for example
 // topo.Ring or topo.Torus) instead of leaving every link unconnected.
 // The topology's shape must match the configuration; see UseTopology.

@@ -51,11 +51,7 @@ type Stats struct {
 }
 
 // Add accumulates o into s.
-func (s *Stats) Add(o Stats) { s.add(&o) }
-
-// add is Add by pointer: the clock engine folds every shard's counters
-// every cycle, and Stats is a 200-byte struct.
-func (s *Stats) add(o *Stats) {
+func (s *Stats) Add(o Stats) {
 	s.Reads += o.Reads
 	s.Writes += o.Writes
 	s.Atomics += o.Atomics

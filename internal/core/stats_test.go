@@ -50,33 +50,6 @@ func TestStatsAddSubRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardMergeStats(t *testing.T) {
-	// The sharded engine folds per-shard counters into the engine totals
-	// through mergeShards. Filling every field reflectively guarantees
-	// that a counter added to Stats without merge handling — one the
-	// fold would drop or double-count — fails here rather than silently
-	// undercounting in parallel mode.
-	h := newSimple(t, testConfig())
-	if len(h.shards) != 1 {
-		t.Fatalf("serial engine has %d shards, want 1", len(h.shards))
-	}
-	fill := fillStats(t, 100)
-	h.shards[0].stats = fill
-	h.mergeShards()
-	vGot, vWant := reflect.ValueOf(h.stats), reflect.ValueOf(fill)
-	for i := 0; i < vGot.NumField(); i++ {
-		if got, want := vGot.Field(i).Uint(), vWant.Field(i).Uint(); got != want {
-			t.Errorf("merge dropped field %s: got %d, want %d",
-				vGot.Type().Field(i).Name, got, want)
-		}
-	}
-	// The shard accumulator must be empty again, or the next cycle
-	// double-counts.
-	if h.shards[0].stats != (Stats{}) {
-		t.Errorf("shard stats not reset after merge: %+v", h.shards[0].stats)
-	}
-}
-
 func TestStatsDeltaWindow(t *testing.T) {
 	// The measurement-window idiom: snapshot, run, subtract.
 	h := newSimple(t, testConfig())

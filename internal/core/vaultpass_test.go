@@ -108,45 +108,39 @@ func (s *saturator) cycle(t *testing.T, h *core.HMC) {
 // TestSaturatedVaultPassVerified runs Table I configuration 1 saturated
 // with the structural audit after every clock — every queued packet
 // CRC-valid, in the right kind of queue, in the vault it decodes to, with
-// a cached bank that matches its address — for the serial and a sharded
-// engine, and requires the two to agree on every digest.
+// a cached bank that matches its address — and pins the digests the
+// serial engine has always produced, on a configuration carrying the
+// ignored worker count.
 func TestSaturatedVaultPassVerified(t *testing.T) {
-	cycles := 2000
-	if testing.Short() {
-		cycles = 200
+	cfg := core.Table1Configs()[0]
+	cfg.Workers = 4
+	h := newHosted(t, cfg)
+	s := newSaturator()
+	digests := fnv.New64a()
+	for c := 0; c < 2000; c++ {
+		s.cycle(t, h)
+		if err := check.Verify(h); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		if c%50 == 49 {
+			binary.Write(digests, binary.LittleEndian, h.StateDigest())
+		}
 	}
-	var ref []uint64
-	for _, workers := range []int{1, 4} {
-		cfg := core.Table1Configs()[0]
-		cfg.Workers = workers
-		h := newHosted(t, cfg)
-		s := newSaturator()
-		var got []uint64
-		for c := 0; c < cycles; c++ {
-			s.cycle(t, h)
-			if err := check.Verify(h); err != nil {
-				t.Fatalf("Workers=%d cycle %d: %v", workers, c, err)
-			}
-			if c%50 == 49 {
-				got = append(got, h.StateDigest())
-			}
-		}
-		got = append(got, s.result.Sum64())
-		st := h.Stats()
-		if st.BankConflicts < st.Serviced() || st.XbarRqstStalls == 0 {
-			t.Fatalf("Workers=%d: run not saturated: %+v", workers, st)
-		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("Workers=%d: digest %d = %#x, Workers=1 has %#x", workers, i, got[i], ref[i])
-			}
-		}
+	st := h.Stats()
+	if st.BankConflicts < st.Serviced() || st.XbarRqstStalls == 0 {
+		t.Fatalf("run not saturated: %+v", st)
+	}
+	if state, result := digests.Sum64(), s.result.Sum64(); state != saturatedState || result != saturatedResult {
+		t.Errorf("state trajectory digest %#x, result digest %#x; pinned %#x, %#x",
+			state, result, saturatedState, saturatedResult)
 	}
 }
+
+// The digests TestSaturatedVaultPassVerified ends on.
+const (
+	saturatedState  = uint64(0x87d3e63c05f7e669)
+	saturatedResult = uint64(0xc8b2dfce521d94c0)
+)
 
 // TestBankArbitrationWithoutCachedBank covers the two ways a request
 // reaches a vault request queue without passing the crossbar stage that

@@ -123,7 +123,7 @@ func (h *HMC) nextWakeup() (wake uint64, ok bool) {
 	lat := uint64(h.cfg.LinkLatency)
 	for i, d := range h.devs {
 		o := &h.occ[i]
-		if rqst, rsp := o.vaultWords(); rqst|rsp != 0 {
+		if o.vrqst|o.vrsp != 0 {
 			return 0, false
 		}
 		if o.rqst|o.rsp != 0 && lat <= 1 {

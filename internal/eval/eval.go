@@ -7,7 +7,6 @@ package eval
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"hmcsim/internal/core"
@@ -86,68 +85,18 @@ type Table1Result struct {
 	LinkSpeedup float64
 }
 
-// TableIOpts parameterizes RunTableIOpts beyond the request count and
-// workload seed.
-type TableIOpts struct {
-	// Requests is the per-configuration request count.
-	Requests uint64
-	// Seed seeds the random access workload.
-	Seed uint32
-	// Workers is the shard worker count of each simulation
-	// (core.Config.Workers). Results are bit-identical for every value;
-	// it only changes how many cores one simulation uses.
-	Workers int
-	// Concurrent runs the four configurations concurrently instead of
-	// back to back. The four simulations are independent, so the rows —
-	// kept in Table I order — are identical either way.
-	Concurrent bool
-}
-
 // RunTableI executes the paper's Table I experiment: the random access
 // test harness against the four device configurations, reporting the
 // simulated runtime in clock cycles for each.
 func RunTableI(numRequests uint64, seed uint32) (Table1Result, error) {
-	return RunTableIOpts(TableIOpts{Requests: numRequests, Seed: seed})
-}
-
-// RunTableIOpts is RunTableI with the full option set: per-simulation
-// worker counts and a concurrent outer loop over the four
-// configurations.
-func RunTableIOpts(o TableIOpts) (Table1Result, error) {
 	cfgs := core.Table1Configs()
-	res := Table1Result{Requests: o.Requests, Rows: make([]Table1Row, len(cfgs))}
-	run := func(i int) error {
-		cfg := cfgs[i]
-		cfg.Workers = o.Workers
-		row, err := RunRandom(cfg, o.Requests, o.Seed, nil)
+	res := Table1Result{Requests: numRequests, Rows: make([]Table1Row, len(cfgs))}
+	for i, cfg := range cfgs {
+		row, err := RunRandom(cfg, numRequests, seed, nil)
 		if err != nil {
-			return fmt.Errorf("eval: %v: %w", cfg, err)
+			return res, fmt.Errorf("eval: %v: %w", cfg, err)
 		}
 		res.Rows[i] = Table1Row{Config: cfg, Result: row}
-		return nil
-	}
-	if o.Concurrent {
-		var wg sync.WaitGroup
-		errs := make([]error, len(cfgs))
-		for i := range cfgs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = run(i)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return res, err
-			}
-		}
-	} else {
-		for i := range cfgs {
-			if err := run(i); err != nil {
-				return res, err
-			}
-		}
 	}
 	c := func(i int) float64 { return float64(res.Rows[i].Result.Cycles) }
 	// Rows: 0 = 4L/8B, 1 = 4L/16B, 2 = 8L/8B, 3 = 8L/16B.

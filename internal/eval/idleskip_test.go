@@ -17,10 +17,9 @@ import (
 
 // skipCase is one randomized spec of the idle-skip equivalence property.
 type skipCase struct {
-	spec    workload.Spec
-	fault   fault.Config
-	gap     uint64
-	workers int
+	spec  workload.Spec
+	fault fault.Config
+	gap   uint64
 }
 
 // skipCases derives n pseudo-random sparse specs from the loop index
@@ -38,8 +37,7 @@ func skipCases(n int) []skipCase {
 				Seed: uint32(i*2654435761 + 1),
 				Size: 64,
 			},
-			gap:     gaps[i%len(gaps)],
-			workers: []int{1, 4, 16}[i%3],
+			gap: gaps[i%len(gaps)],
 		}
 		switch c.spec.Kind {
 		case "stride":
@@ -71,8 +69,7 @@ func runSkipCase(t *testing.T, c skipCase, n uint64, forceWalk bool) (host.Resul
 	cfg := core.Config{
 		NumDevs: 1, NumLinks: 4, NumVaults: 16, NumBanks: 8,
 		NumDRAMs: 8, CapacityGB: 2, QueueDepth: 16, XbarDepth: 32,
-		Workers: c.workers,
-		Fault:   c.fault,
+		Fault: c.fault,
 	}
 	rec := &trace.Recorder{}
 	h, err := BuildSimpleWithOptions(cfg, core.WithTrace(rec, trace.MaskAll))

@@ -1,10 +1,8 @@
 // Package engine materializes a fabric.Spec as a running multi-cube
 // simulation: one core.HMC object holding every cube of the system
-// graph, driven in lockstep by the engine's deterministic clock. Cubes
-// shard across the worker pool exactly the way vaults do inside a single
-// cube — the shard map covers (cube, vault) units — so results are
-// bit-identical for every worker count, and one core.Checkpoint captures
-// the whole fabric including every in-flight inter-cube packet.
+// graph, driven in lockstep by the engine's deterministic clock, so one
+// core.Checkpoint captures the whole fabric including every in-flight
+// inter-cube packet.
 package engine
 
 import (
@@ -30,7 +28,7 @@ type System struct {
 // Config derives the fabric-level engine configuration from a
 // single-cube configuration: the device count becomes the cube count and
 // the spec's link latency is installed. Everything else — vault shape,
-// queue depths, fault model, workers — applies per cube unchanged.
+// queue depths, fault model — applies per cube unchanged.
 func Config(spec fabric.Spec, cube core.Config) core.Config {
 	cfg := cube
 	cfg.NumDevs = spec.NumCubes()
@@ -40,7 +38,7 @@ func Config(spec fabric.Spec, cube core.Config) core.Config {
 
 // Build wires spec over identical cubes configured by cube (whose
 // NumDevs is ignored) and constructs the engine. Extra options thread
-// through to core.NewWithOptions — tracing, fault overrides, workers.
+// through to core.NewWithOptions — tracing, fault overrides.
 func Build(spec fabric.Spec, cube core.Config, opts ...core.Option) (*System, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -155,7 +153,7 @@ func (s *System) Totals() Totals {
 // per-cube counter, the hop totals and the per-link census, in cube and
 // link order. Together with the engine's state digest and the driver's
 // result digest it pins the fabric conformance contract: bit-identical
-// for every worker count and across checkpoint/resume.
+// across checkpoint/resume.
 func (t Totals) Digest() uint64 {
 	d := fnv.New64a()
 	var buf [8]byte

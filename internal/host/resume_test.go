@@ -63,8 +63,8 @@ func roundTrip(t *testing.T, ck *Checkpoint) *Checkpoint {
 // checkpoint a run at cycle k, restore into a freshly built engine +
 // driver + generator trio, run to completion, and require the result and
 // the final architectural snapshot to be bit-identical to an
-// uninterrupted run — across serial and sharded clock engines and under
-// fault injection.
+// uninterrupted run — with and without fault injection. The workers=
+// subtests set the ignored Config.Workers.
 func TestCheckpointResumeConformance(t *testing.T) {
 	faulty := fault.Config{
 		TransientPPM: 2000,

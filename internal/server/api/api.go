@@ -257,7 +257,7 @@ type FabricResult struct {
 	// Links is the per-cable FLIT census, each cable once.
 	Links []FabricLink `json:"links,omitempty"`
 	// FabricDigest is the fabric-wide traffic digest (fixed-width hex),
-	// bit-identical for every worker count and across checkpoint/resume.
+	// bit-identical across checkpoint/resume.
 	FabricDigest string `json:"fabric_digest"`
 }
 

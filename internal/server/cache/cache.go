@@ -5,7 +5,7 @@
 //
 // The cache exploits the engine's determinism contract: identical
 // canonical specs produce bit-identical ResultDigests regardless of
-// worker count, idle-skip mode or checkpoint/resume, so a cached result
+// idle-skip mode or checkpoint/resume, so a cached result
 // IS the result of re-running the spec. Persistence comes from the
 // layers around the cache, not the cache itself — the serving manager
 // journals every completion with its SpecKey and keeps result blobs in
@@ -34,8 +34,9 @@ type Key = ckey.Key
 //   - Name and IdempotencyKey label the submission, not the simulation.
 //   - TimeoutMS bounds wall-clock scheduling; a completed run's result
 //     does not depend on it.
-//   - Config.Workers, Workload.Workers and Workload.NoIdleSkip are
-//     execution hints with a bit-identity contract (DESIGN.md §10, §14).
+//   - Config.Workers and Workload.Workers are accepted and ignored;
+//     Workload.NoIdleSkip is an execution hint with a bit-identity
+//     contract (DESIGN.md §14).
 //
 // Everything else — including every nested fault-model and fabric field
 // — is semantic: flipping it changes the key.

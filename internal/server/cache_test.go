@@ -119,8 +119,8 @@ func TestCacheHitFabricJob(t *testing.T) {
 }
 
 // TestCacheVerifyAcrossWorkers runs with CacheVerify=1 so every hit
-// reruns the simulation, across the worker counts of the determinism
-// contract. Every verification must agree with the cached digest.
+// reruns the simulation, across job-pool sizes. Every verification must
+// agree with the cached digest.
 func TestCacheVerifyAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -199,6 +199,23 @@ func TestEngineReuseTakesParkedEngine(t *testing.T) {
 	if warm >= 8<<10 {
 		t.Errorf("a warm job allocated %d bytes (a cold one %d): want under 8 KB", warm, cold)
 	}
+
+	// The engine ignores the worker count, so the key leaves it out: a
+	// job that sets it parks the engine a job without it takes.
+	emptyIdleEngines()
+	hinted := spec
+	hinted.Config.Workers = 4
+	if _, err := Execute(context.Background(), hinted); err != nil {
+		t.Fatal(err)
+	}
+	parked = parkedEngines()
+	if len(parked) != 1 {
+		t.Fatalf("%d engines parked after the Workers=4 job, want 1", len(parked))
+	}
+	execute()
+	if now := parkedEngines(); len(now) != 1 || now[0].h != parked[0].h {
+		t.Fatalf("the Workers=0 job did not take the engine the Workers=4 job parked: %d engines parked", len(now))
+	}
 }
 
 // TestEngineReuseCapEvictsOldest parks more distinct engines than the cap

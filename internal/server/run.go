@@ -69,15 +69,7 @@ func Execute(ctx context.Context, spec JobSpec) (Result, error) {
 // one (core.HMC.Free), and a Reset driver from a new one
 // (host.Driver.Reset), so results do not depend on which the job got.
 func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
-	cfg := spec.Config
-	if cfg.Workers == 0 && spec.Workload.Workers > 0 {
-		// The workload-level worker hint applies only when the device
-		// configuration does not pin a count itself, and is capped
-		// rather than rejected: an oversized hint is a wish for "as
-		// parallel as allowed", not an error.
-		cfg.Workers = min(spec.Workload.Workers, core.MaxWorkers)
-	}
-	e, err := takeEngine(cfg, spec.Fabric)
+	e, err := takeEngine(spec.Config, spec.Fabric)
 	if err != nil {
 		return Result{}, err
 	}
@@ -90,9 +82,9 @@ func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, err
 // rewired, through e's driver, which is built on the engine's first job
 // and Reset for every later one.
 func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
-	// A fabric runs as one engine whose cubes shard like vaults; the
-	// driver, run loop and checkpoint path downstream are the same as
-	// for the classic single-object wiring.
+	// A fabric runs as one engine; the driver, run loop and checkpoint
+	// path downstream are the same as for the classic single-object
+	// wiring.
 	h, sys, cfg := e.h, e.sys, e.cfg
 	capacity := uint64(cfg.CapacityGB) << 30
 	if sys != nil {
@@ -197,8 +189,10 @@ var idleEngines struct {
 }
 
 // takeEngine returns an engine for (cfg, fab): the most recently parked
-// one with that key, rewired, or failing that a newly built one.
+// one with that key, rewired, or failing that a newly built one. The key
+// leaves out the worker count, which the engine ignores.
 func takeEngine(cfg core.Config, fab *fabric.Spec) (*idleEngine, error) {
+	cfg.Workers = 0
 	idleEngines.Lock()
 	for i := len(idleEngines.list) - 1; i >= 0; i-- {
 		e := idleEngines.list[i]

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hmcsim/internal/core"
+	"hmcsim/internal/host"
 	"hmcsim/internal/workload"
 )
 
@@ -523,29 +524,46 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestWorkerHintExecution(t *testing.T) {
-	// The workload-level worker hint parallelizes the engine without
-	// changing results: both digests match the serial run bit for bit.
-	// An oversized hint is capped, not rejected; a negative one and an
-	// out-of-range Config.Workers fail validation.
-	spec := testSpec("serial", core.Table1Configs()[0], 4096)
-	ref, err := Execute(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	// Both worker fields stay in the wire form and are ignored: a job
+	// carrying them runs exactly like one that does not — same result
+	// and state digests, same checkpoint bytes. The range checks stay: a
+	// negative hint and an out-of-range Config.Workers fail validation,
+	// and an oversized hint does not.
+	run := func(spec JobSpec) (Result, []byte) {
+		t.Helper()
+		var last []byte
+		res, err := ExecuteOpts(context.Background(), spec, ExecOptions{
+			CheckpointEvery: 8,
+			Checkpoint: func(ck *host.Checkpoint) (err error) {
+				last, err = json.Marshal(ck)
+				return err
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == nil {
+			t.Fatal("no checkpoint delivered")
+		}
+		return res, last
 	}
+	spec := testSpec("plain", core.Table1Configs()[0], 4096)
+	ref, refCk := run(spec)
 	hinted := spec
+	hinted.Config.Workers = 7
 	hinted.Workload.Workers = 3
-	got, err := Execute(context.Background(), hinted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, gotCk := run(hinted)
 	if got.ResultDigest != ref.ResultDigest || got.StateDigest != ref.StateDigest {
-		t.Errorf("worker hint changed digests: %s/%s, want %s/%s",
+		t.Errorf("worker fields changed digests: %s/%s, want %s/%s",
 			got.ResultDigest, got.StateDigest, ref.ResultDigest, ref.StateDigest)
 	}
-	capped := spec
-	capped.Workload.Workers = 10 * core.MaxWorkers
-	if _, err := Execute(context.Background(), capped); err != nil {
-		t.Errorf("oversized worker hint not capped: %v", err)
+	if !bytes.Equal(gotCk, refCk) {
+		t.Error("worker fields changed the final checkpoint")
+	}
+	oversized := spec
+	oversized.Workload.Workers = 10 * core.MaxWorkers
+	if _, err := Execute(context.Background(), oversized); err != nil {
+		t.Errorf("oversized worker hint rejected: %v", err)
 	}
 
 	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 2})

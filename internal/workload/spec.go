@@ -29,13 +29,9 @@ type Spec struct {
 	// mixture is 50; zero means all reads.
 	WritePercent int `json:"write_percent,omitempty"`
 
-	// Workers is an execution hint, not a workload parameter: it selects
-	// the simulator's shard worker count (core.Config.Workers) when the
-	// submitted device configuration leaves it zero. Results are
-	// bit-identical for every value — the same access stream serviced by
-	// the same deterministic engine — so the hint trades only wall-clock
-	// time. Negative values are rejected; the executor caps the value at
-	// the engine's limit.
+	// Workers is accepted and ignored: the engine runs serially. It
+	// stays in the wire form for submissions that still carry it;
+	// negative values are rejected.
 	Workers int `json:"workers,omitempty"`
 
 	// GapCycles paces the injection: access k is not released before
@@ -103,9 +99,9 @@ func (s Spec) Build(capacityBytes uint64) (Generator, error) {
 // identical access streams:
 //
 //   - Kind "" becomes "random" and Size 0 becomes 64 (Build's defaults).
-//   - Workers and NoIdleSkip are cleared: both are execution hints whose
-//     every value yields bit-identical digests (the shard conformance
-//     suite and the wheel-vs-walk equivalence property pin this).
+//   - Workers and NoIdleSkip are cleared: the first is ignored, and
+//     every value of the second yields bit-identical digests (the
+//     wheel-vs-walk equivalence property pins this).
 //   - Per-kind parameters the generator constructor ignores are zeroed:
 //     stride fields outside "stride", hotspot fields outside "hotspot",
 //     ZipfS outside "zipf", and WritePercent under "chase" (pointer
@@ -141,8 +137,8 @@ func (s Spec) Canonical() Spec {
 
 // SpecKey is the 128-bit content key of the canonicalized workload spec.
 // JSON field order, whitespace and explicitly-spelled defaults do not
-// change the key; any semantic parameter flip does. Execution hints
-// (Workers, NoIdleSkip) are excluded — they never change result digests.
+// change the key; any semantic parameter flip does. Workers and
+// NoIdleSkip are excluded — they never change result digests.
 func SpecKey(s Spec) ckey.Key {
 	return ckey.MustHashJSON("hmcsim/workload/v1", s.Canonical())
 }
