@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench bench-pair bench-smoke bench-core bench-compare bench-serve serve serve-pprof metrics-smoke crash-smoke fabric-smoke skip-smoke cache-smoke sse-smoke table1 fig5 faults examples vet fmt clean
+.PHONY: all build test test-race race bench bench-pair bench-smoke serve serve-pprof metrics-smoke crash-smoke fabric-smoke skip-smoke cache-smoke sse-smoke table1 fig5 faults examples vet fmt clean
 
 all: vet test build
 
@@ -65,38 +65,6 @@ bench-smoke:
 	@cat .bench_out/smoke.out
 	@! grep -q '"correct":false' .bench_out/smoke.out
 
-# bench-core measures the engine hot path — the four Table I
-# configurations (cycles/sec), the saturated clock loop (allocs/op), the
-# isolated vault stages, and the sparse
-# gap-paced pairs whose wheel-vs-walk ratio is the event-wheel idle-skip
-# speedup — and commits the parsed record to BENCH_core.json, including
-# the speedup against the pre-optimization baseline.
-bench-core:
-	( $(GO) test -run '^$$' -bench 'BenchmarkTableI_|BenchmarkClockSaturated|BenchmarkSparse_' -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkVaultStage' -benchmem ./internal/core ) \
-		| $(GO) run ./cmd/hmcsim-benchcore -out BENCH_core.json
-
-# bench-compare is the perf regression gate: it re-runs the serial-path
-# benchmarks — including the sparse idle-skip rows, so the wheel path is
-# held to the same >10%-regression bar as the walked path — and fails if
-# any regresses more than 10% against the committed BENCH_core.json.
-# Each benchmark runs three times and the comparison takes the minimum,
-# filtering shared-machine noise.
-bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI_|BenchmarkClockSaturated$$|BenchmarkSparse_' -benchmem -count 3 . \
-		| $(GO) run ./cmd/hmcsim-benchcore -compare BENCH_core.json
-
-# bench-serve pushes three 16-job batches (unique-seed Table I configs)
-# through an in-process cache-enabled simulation service over real HTTP:
-# a cold batch, a hot resubmission served from the result cache and a
-# coalesced batch of identical concurrent submissions. The record lands
-# in BENCH_serve.json with per-row throughput and the hot speedup; the
-# run is its own gate — it fails on a >10% cold-row regression against
-# the committed record or a hot row below the 5x cache contract
-# (DESIGN.md §15).
-bench-serve:
-	$(GO) run ./cmd/hmcsim-submit -bench BENCH_serve.json -bench-jobs 16 -requests 65536
-
 serve:
 	$(GO) run ./cmd/hmcsim-serve
 
@@ -134,13 +102,11 @@ fabric-smoke:
 # skip-smoke exercises the event-wheel idle-skip layer end to end: the
 # randomized wheel-vs-walk equivalence property (digest + trace stream
 # bit-identity, with and without fault injection, across a mid-skip
-# suspend/resume and a multi-cube fabric), the wheel unit tests, and one
-# skip-heavy workload with the wheel force-disabled so the walk fallback
-# path stays exercised in CI (DESIGN.md §14).
+# suspend/resume and a multi-cube fabric; its walk side keeps the forced
+# walk fallback exercised in CI) and the wheel unit tests (DESIGN.md §14).
 skip-smoke:
 	$(GO) test -run 'TestIdleSkip' -v ./internal/eval
 	$(GO) test -run 'TestAdvanceIdle|TestTimedLinkFailure|TestCheckpointCarriesSkipStats' -v ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkSparse_ChaseGap500Walk' -benchtime 1x .
 
 # cache-smoke exercises the content-addressed result cache end to end:
 # spec-key canonicalization (field order, defaults, execution hints),

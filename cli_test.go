@@ -261,61 +261,6 @@ func TestCLITable1JSON(t *testing.T) {
 	}
 }
 
-func TestCLISubmitBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI build in -short mode")
-	}
-	bin := buildTool(t, "hmcsim-submit")
-	outFile := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	// -gate=false: tiny CI batches measure the schema and the cache
-	// plumbing, not machine throughput; make bench-serve runs the gates.
-	out := runTool(t, bin, "-bench", outFile, "-bench-jobs", "8", "-requests", "1024", "-gate=false")
-	if !strings.Contains(out, "bench-serve:") {
-		t.Errorf("bench summary line missing:\n%s", out)
-	}
-	data, err := os.ReadFile(outFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type row struct {
-		Jobs       int     `json:"jobs"`
-		JobsPerSec float64 `json:"jobs_per_sec"`
-		Cycles     uint64  `json:"cycles_total"`
-		CyclesSec  float64 `json:"cycles_per_sec"`
-		CacheHits  int     `json:"cache_hits"`
-		Coalesced  int     `json:"coalesced"`
-	}
-	var rec struct {
-		Workers    int     `json:"workers"`
-		Cold       row     `json:"cold"`
-		Hot        row     `json:"hot"`
-		Coalesced  row     `json:"coalesced"`
-		HotSpeedup float64 `json:"hot_speedup"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("bench record not JSON: %v\n%s", err, data)
-	}
-	if rec.Workers <= 0 {
-		t.Errorf("implausible workers %d", rec.Workers)
-	}
-	if c := rec.Cold; c.Jobs != 8 || c.JobsPerSec <= 0 || c.Cycles == 0 || c.CyclesSec <= 0 || c.CacheHits != 0 {
-		t.Errorf("implausible cold row %+v", c)
-	}
-	// The hot row is the same batch resubmitted: all cache hits, no new
-	// simulated cycles beyond the cached results it reports.
-	if h := rec.Hot; h.Jobs != 8 || h.CacheHits != 8 || h.Cycles != rec.Cold.Cycles {
-		t.Errorf("implausible hot row %+v (cold cycles %d)", h, rec.Cold.Cycles)
-	}
-	// The coalesced row submits 8 identical copies: one simulates, the
-	// rest are coalesced or (if they arrive after it finishes) hits.
-	if co := rec.Coalesced; co.Jobs != 8 || co.CacheHits+co.Coalesced != 7 {
-		t.Errorf("implausible coalesced row %+v", co)
-	}
-	if rec.HotSpeedup <= 1 {
-		t.Errorf("hot speedup %.2f not > 1", rec.HotSpeedup)
-	}
-}
-
 // TestCLIServeDrainsOnSIGTERM is the end-to-end acceptance check for
 // graceful shutdown: a daemon with an in-flight job, signalled with
 // SIGTERM, finishes the job before exiting cleanly.

@@ -117,6 +117,13 @@ func main() {
 	})
 	srv := &http.Server{Handler: handler}
 
+	// Catch the shutdown signals before the listen line announces the
+	// daemon: a client may submit and signal as soon as it reads that
+	// line, and a SIGTERM that lands before the handler is installed
+	// would kill the process without draining.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -155,8 +162,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		log.Fatalf("serve: %v", err)

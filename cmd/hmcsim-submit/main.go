@@ -29,17 +29,7 @@
 // content-addressed result cache, "coalesced" for one that attached to
 // an identical in-flight job, "verified" for a sampled hit the server
 // re-executed (README "Result cache").
-//
-// With -bench FILE the command is self-contained: it starts an
-// in-process cache-enabled service on an ephemeral port and pushes
-// three batches through the full HTTP path: a cold batch of unique
-// specs, a hot resubmission of the same batch (served entirely from the
-// cache) and a coalesced batch of identical concurrent copies of one
-// fresh spec. The JSON record written to FILE carries one row per batch
-// plus the run-derived hot speedup; unless -gate=false, the run fails
-// if the hot row is below 5x the cold row, if any hot digest diverges
-// from its cold counterpart, or if the cold row regressed more than 10%
-// against the record previously at FILE — the `make bench-serve` gate.
+
 package main
 
 import (
@@ -52,10 +42,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,7 +51,6 @@ import (
 	"time"
 
 	"hmcsim/internal/core"
-	"hmcsim/internal/server"
 	"hmcsim/internal/server/api"
 	"hmcsim/internal/workload"
 )
@@ -74,26 +61,16 @@ func main() {
 	seed := flag.Uint("seed", 1, "workload seed")
 	poll := flag.Duration("poll", 100*time.Millisecond, "status poll interval")
 	timeout := flag.Duration("timeout", 10*time.Minute, "client-side wait budget per batch")
-	bench := flag.String("bench", "", "run the cold/hot/coalesced in-process benchmark and write its JSON record to this file")
-	benchJobs := flag.Int("bench-jobs", 16, "benchmark batch size per row (unique-seed Table I configs)")
-	gate := flag.Bool("gate", true, "with -bench, fail on a >10%% cold-row regression against the existing record or a hot row below the 5x cache contract")
 	progress := flag.Bool("progress", false, "print each job's live progress to stderr while polling")
 	follow := flag.Bool("follow", false, "follow each job's SSE event stream (/v1/jobs/{id}/events) instead of polling; falls back to polling when streaming is unavailable")
 	token := flag.String("token", "", "tenant API key, sent on every request as \"Authorization: Bearer <key>\"")
 	flag.Parse()
 
-	if *bench != "" {
-		if err := runBench(*bench, *benchJobs, *requests, uint32(*seed), *poll, *timeout, *gate); err != nil {
-			fmt.Fprintln(os.Stderr, "hmcsim-submit:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	o := clientOpts{
 		token: *token, follow: *follow, progress: *progress,
 		poll: *poll, timeout: *timeout,
 	}
-	results, err := runBatch(*addr, specs(1, *requests, uint32(*seed)), o)
+	results, err := runBatch(*addr, specs(*requests, uint32(*seed)), o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hmcsim-submit:", err)
 		os.Exit(1)
@@ -118,21 +95,16 @@ func (o clientOpts) auth(req *http.Request) {
 	}
 }
 
-// specs builds replicas copies of the four Table I job specs. Each
-// replica gets its own workload seed: against a cache-enabled service,
-// same-seed replicas would be one simulation and replicas-1 cache
-// hits, which is not what a replicated batch means.
-func specs(replicas int, requests uint64, seed uint32) []api.SubmitRequest {
+// specs builds the four Table I job specs.
+func specs(requests uint64, seed uint32) []api.SubmitRequest {
 	var out []api.SubmitRequest
-	for r := 0; r < replicas; r++ {
-		for _, cfg := range core.Table1Configs() {
-			out = append(out, api.SubmitRequest{
-				Name:     fmt.Sprintf("%v #%d", cfg, r),
-				Config:   cfg,
-				Workload: workload.TableISpec(seed + uint32(r)),
-				Requests: requests,
-			})
-		}
+	for _, cfg := range core.Table1Configs() {
+		out = append(out, api.SubmitRequest{
+			Name:     cfg.String(),
+			Config:   cfg,
+			Workload: workload.TableISpec(seed),
+			Requests: requests,
+		})
 	}
 	return out
 }
@@ -458,156 +430,4 @@ func printTable(results []api.JobStatus) {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%.2f\t%s\t%s\n", st.ID, r.Config, r.Cycles, r.ReqsPerCycle, prov, r.ResultDigest)
 	}
 	tw.Flush()
-}
-
-// benchRow is one batch of the BENCH_serve.json record.
-type benchRow struct {
-	Jobs        int     `json:"jobs"`
-	WallSeconds float64 `json:"wall_seconds"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-	Cycles      uint64  `json:"cycles_total"`
-	CyclesSec   float64 `json:"cycles_per_sec"`
-	ReqsSec     float64 `json:"requests_per_sec"`
-	CacheHits   int     `json:"cache_hits,omitempty"`
-	Coalesced   int     `json:"coalesced,omitempty"`
-}
-
-// benchRecord is the BENCH_serve.json schema: one row per batch —
-// cold (unique specs, every job simulates), hot (the same batch
-// resubmitted, served from the result cache) and coalesced (identical
-// concurrent copies of one fresh spec, served by one simulation) —
-// plus the run-derived hot/cold throughput ratio.
-type benchRecord struct {
-	Workers     int      `json:"workers"`
-	RequestsJob uint64   `json:"requests_per_job"`
-	Cold        benchRow `json:"cold"`
-	Hot         benchRow `json:"hot"`
-	Coalesced   benchRow `json:"coalesced"`
-	HotSpeedup  float64  `json:"hot_speedup"`
-}
-
-// benchBatch times one batch through the HTTP path and censuses the
-// provenance of its results.
-func benchBatch(base string, batch []api.SubmitRequest, requests uint64, poll, timeout time.Duration) (benchRow, []api.JobStatus, error) {
-	start := time.Now()
-	results, err := runBatch(base, batch, clientOpts{poll: poll, timeout: timeout})
-	if err != nil {
-		return benchRow{}, nil, err
-	}
-	wall := time.Since(start).Seconds()
-	row := benchRow{
-		Jobs: len(batch), WallSeconds: wall,
-		JobsPerSec: float64(len(batch)) / wall,
-	}
-	for _, st := range results {
-		row.Cycles += st.Result.Cycles
-		switch st.Result.Cache {
-		case api.CacheHit, api.CacheVerified:
-			row.CacheHits++
-		case api.CacheCoalesced:
-			row.Coalesced++
-		}
-	}
-	row.CyclesSec = float64(row.Cycles) / wall
-	row.ReqsSec = float64(uint64(len(batch))*requests) / wall
-	return row, results, nil
-}
-
-// hotContract is the minimum hot/cold throughput ratio the cache must
-// deliver, and coldRegression the cold-row slowdown tolerated against
-// the record previously on disk.
-const (
-	hotContract    = 5.0
-	coldRegression = 0.10
-)
-
-// runBench drives the cold, hot and coalesced batches through an
-// in-process cache-enabled service over real HTTP, records per-row
-// throughput and enforces the performance gates.
-func runBench(path string, jobs int, requests uint64, seed uint32, poll, timeout time.Duration, gate bool) error {
-	// Read any previous record before overwriting it: the cold row gates
-	// against it. A missing or old-schema file skips the comparison —
-	// that is how the first record under a new schema bootstraps.
-	var prev benchRecord
-	havePrev := false
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &prev); err == nil && prev.Cold.Jobs > 0 {
-			havePrev = true
-		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	mgr := server.NewManager(server.ManagerConfig{
-		Workers: workers, QueueDepth: jobs + workers,
-		CacheBytes: 256 << 20,
-	})
-	srv := &http.Server{Handler: server.NewHandler(mgr)}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	replicas := (jobs + 3) / 4
-	batch := specs(replicas, requests, seed)[:jobs]
-	rec := benchRecord{Workers: workers, RequestsJob: requests}
-
-	var coldResults, hotResults []api.JobStatus
-	if rec.Cold, coldResults, err = benchBatch(base, batch, requests, poll, timeout); err != nil {
-		return fmt.Errorf("cold batch: %w", err)
-	}
-	if rec.Cold.CacheHits+rec.Cold.Coalesced != 0 {
-		return fmt.Errorf("cold batch not unique: %d hits, %d coalesced", rec.Cold.CacheHits, rec.Cold.Coalesced)
-	}
-	if rec.Hot, hotResults, err = benchBatch(base, batch, requests, poll, timeout); err != nil {
-		return fmt.Errorf("hot batch: %w", err)
-	}
-	// The hot row must be pure cache service, digest-identical to cold.
-	if rec.Hot.CacheHits != jobs {
-		return fmt.Errorf("hot batch leaked past the cache: %d/%d hits", rec.Hot.CacheHits, jobs)
-	}
-	for i := range hotResults {
-		if hotResults[i].Result.ResultDigest != coldResults[i].Result.ResultDigest {
-			return fmt.Errorf("hot job %s digest %s != cold %s — cache served the wrong result",
-				hotResults[i].ID, hotResults[i].Result.ResultDigest, coldResults[i].Result.ResultDigest)
-		}
-	}
-	// Coalesced row: identical concurrent copies of one spec no batch
-	// has run yet; the service simulates once.
-	co := make([]api.SubmitRequest, jobs)
-	for i := range co {
-		co[i] = specs(1, requests, seed+uint32(replicas))[0]
-		co[i].Name = fmt.Sprintf("%s copy-%d", co[i].Name, i)
-	}
-	if rec.Coalesced, _, err = benchBatch(base, co, requests, poll, timeout); err != nil {
-		return fmt.Errorf("coalesced batch: %w", err)
-	}
-	rec.HotSpeedup = rec.Hot.JobsPerSec / rec.Cold.JobsPerSec
-
-	if gate {
-		if rec.HotSpeedup < hotContract {
-			return fmt.Errorf("cache contract broken: hot row %.2f jobs/s is only %.1fx cold %.2f jobs/s (want >= %.0fx)",
-				rec.Hot.JobsPerSec, rec.HotSpeedup, rec.Cold.JobsPerSec, hotContract)
-		}
-		if havePrev && prev.Workers == workers && prev.RequestsJob == requests && prev.Cold.Jobs == jobs {
-			floor := prev.Cold.JobsPerSec * (1 - coldRegression)
-			if rec.Cold.JobsPerSec < floor {
-				return fmt.Errorf("cold row regressed: %.2f jobs/s vs recorded %.2f (floor %.2f)",
-					rec.Cold.JobsPerSec, prev.Cold.JobsPerSec, floor)
-			}
-		}
-	}
-
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("bench-serve: cold %.2f jobs/s, hot %.2f jobs/s (%.1fx), coalesced %.2f jobs/s on %d workers -> %s\n",
-		rec.Cold.JobsPerSec, rec.Hot.JobsPerSec, rec.HotSpeedup, rec.Coalesced.JobsPerSec, workers, path)
-	return nil
 }

@@ -3,18 +3,21 @@
 // contain more than one HMC-Sim object", with each object's rudimentary
 // clock domain operating completely independently, "analogous to the
 // current system on chip methodology of utilizing multiple memory
-// channels per socket". The channels run concurrently in goroutines and
-// aggregate bandwidth scales with the channel count.
+// channels per socket". Each channel is its own engine and host driver,
+// clocked by its own goroutine; aggregate bandwidth scales with the
+// channel count.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"sync"
 
 	"hmcsim/internal/core"
+	"hmcsim/internal/eval"
+	"hmcsim/internal/fabric"
 	"hmcsim/internal/host"
-	"hmcsim/internal/numa"
 	"hmcsim/internal/workload"
 )
 
@@ -32,34 +35,61 @@ func main() {
 
 	var base float64
 	for _, channels := range []int{1, 2, 4, 8} {
-		sys, err := numa.New(numa.Config{Channels: channels, Object: obj})
-		if err != nil {
-			log.Fatal(err)
+		results := runChannels(obj, channels, *perChannel)
+		// The channels run concurrently, so the run lasts as long as the
+		// slowest channel.
+		var cycles, reqs uint64
+		for _, r := range results {
+			cycles = max(cycles, r.Cycles)
+			reqs += r.Sent
 		}
-		res, err := sys.Run(func(ch int) workload.Generator {
-			g, err := workload.NewRandomAccess(uint32(ch+1), 2<<30, 64, 50)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return g
-		}, *perChannel, host.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		tput := float64(reqs) / float64(cycles)
 		if channels == 1 {
-			base = res.Throughput()
+			base = tput
 		}
-		fmt.Printf("%-9d %12d %14d %16.1f  (%.2fx)\n",
-			channels, res.Cycles, res.Requests, res.Throughput(),
-			res.Throughput()/base)
+		fmt.Printf("%-9d %12d %14d %16.1f  (%.2fx)\n", channels, cycles, reqs, tput, tput/base)
 	}
 
 	// Channel interleave demonstration: consecutive blocks round-robin
 	// across channels with dense channel-local addresses.
-	sys, _ := numa.New(numa.Config{Channels: 4, Object: obj})
+	iv := fabric.Interleave{Ways: 4, Block: 64}
 	fmt.Println("\nblock-interleaved sharding of a flat address space:")
 	for i := uint64(0); i < 8; i++ {
-		ch, local := sys.Shard(i * 64)
+		ch, local := iv.Shard(i * 64)
 		fmt.Printf("  system %#06x -> channel %d local %#06x\n", i*64, ch, local)
 	}
+}
+
+// runChannels builds n identical engines, each with every link wired to
+// the host, and drives channel i with n requests from its own random
+// stream (seed i+1) in its own goroutine. The channels share nothing, so
+// each result is the one that channel would produce alone.
+func runChannels(obj core.Config, n int, requests uint64) []host.Result {
+	results := make([]host.Result, n)
+	var wg sync.WaitGroup
+	for ch := 0; ch < n; ch++ {
+		h, err := eval.BuildSimple(obj)
+		if err != nil {
+			log.Fatal(err)
+		}
+		d, err := host.NewDriver(h, host.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		gen, err := workload.NewRandomAccess(uint32(ch+1), uint64(obj.CapacityGB)<<30, 64, 50)
+		if err != nil {
+			log.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := d.Run(gen, requests)
+			if err != nil {
+				log.Fatal(err)
+			}
+			results[ch] = res
+		}()
+	}
+	wg.Wait()
+	return results
 }

@@ -231,3 +231,17 @@ func TestStringDescribesLayout(t *testing.T) {
 		t.Error("String() returned empty")
 	}
 }
+
+// BenchmarkAddressDecode decodes through the map of Table I
+// configuration 1 (16 vaults, 8 banks, 64-byte blocks, 2GB).
+func BenchmarkAddressDecode(b *testing.B) {
+	m, err := NewDefault(16, 8, 64, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var a uint64
+	for b.Loop() {
+		m.Decode(a)
+		a += 64
+	}
+}

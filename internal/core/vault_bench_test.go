@@ -87,7 +87,7 @@ func BenchmarkVaultStage(b *testing.B) {
 // configuration 1 with one request in flight — answered, its response
 // waiting at the host port for a host that does not come — so every stage
 // of Clock runs and none has anything to move. BenchmarkClockSaturated
-// (repository root) is the other end: the same device full. ns/op is one
+// is the other end: the same device full. ns/op is one
 // Clock call; the wheel is not consulted.
 func BenchmarkClockOnePacket(b *testing.B) {
 	cfg := Table1Configs()[0]

@@ -1,6 +1,6 @@
 // Package eval implements the paper's evaluation harness: the Table I
 // simulation-runtime experiment, the Figure 5 per-cycle trace collection,
-// and the ablation sweeps over queue depths, block sizes and link
+// and the ablation sweeps over configuration fields, block sizes and link
 // selection policies.
 package eval
 
@@ -203,33 +203,20 @@ type SweepRow struct {
 	Result host.Result
 }
 
-// QueueDepthSweep measures the random access harness across vault queue
-// depths (the "flexible queuing" requirement's tuning knob).
-func QueueDepthSweep(base core.Config, depths []int, numRequests uint64, seed uint32) ([]SweepRow, error) {
-	var out []SweepRow
-	for _, d := range depths {
+// Sweep measures the random access harness once per value: set applies
+// the value to a copy of base before each run. Every one-dimensional
+// configuration ablation (queue depths, conflict window, crossbar
+// passing, refresh duty, fault rate, ...) is a Sweep.
+func Sweep(base core.Config, label string, values []int, set func(*core.Config, int), numRequests uint64, seed uint32) ([]SweepRow, error) {
+	out := make([]SweepRow, 0, len(values))
+	for _, v := range values {
 		cfg := base
-		cfg.QueueDepth = d
+		set(&cfg, v)
 		res, err := RunRandom(cfg, numRequests, seed, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("eval: %s %d: %w", label, v, err)
 		}
-		out = append(out, SweepRow{Label: "queue-depth", Value: d, Result: res})
-	}
-	return out, nil
-}
-
-// XbarDepthSweep measures across crossbar queue depths.
-func XbarDepthSweep(base core.Config, depths []int, numRequests uint64, seed uint32) ([]SweepRow, error) {
-	var out []SweepRow
-	for _, d := range depths {
-		cfg := base
-		cfg.XbarDepth = d
-		res, err := RunRandom(cfg, numRequests, seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepRow{Label: "xbar-depth", Value: d, Result: res})
+		out = append(out, SweepRow{Label: label, Value: v, Result: res})
 	}
 	return out, nil
 }
@@ -265,38 +252,6 @@ func BlockSizeSweep(base core.Config, sizes []int, numRequests uint64, seed uint
 		out = append(out, SweepRow{Label: "block-size", Value: size, Result: res})
 	}
 	return out, nil
-}
-
-// FaultSweep measures the random access harness across injected transient
-// link fault rates (error simulation): retransmissions rise and effective
-// throughput falls as the fault rate grows.
-func FaultSweep(base core.Config, ppms []int, numRequests uint64, seed uint32) ([]SweepRow, error) {
-	var out []SweepRow
-	for _, ppm := range ppms {
-		cfg := base
-		cfg.Fault.TransientPPM = ppm
-		cfg.Fault.Seed = uint64(seed)
-		res, err := RunRandom(cfg, numRequests, seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepRow{Label: "fault-ppm", Value: ppm, Result: res})
-	}
-	return out, nil
-}
-
-// PassingComparison runs the harness with strict-FIFO crossbars and with
-// the specification's reordering point enabled.
-func PassingComparison(base core.Config, numRequests uint64, seed uint32) (strict, passing host.Result, err error) {
-	cfg := base
-	cfg.XbarPassing = false
-	strict, err = RunRandom(cfg, numRequests, seed, nil)
-	if err != nil {
-		return
-	}
-	cfg.XbarPassing = true
-	passing, err = RunRandom(cfg, numRequests, seed, nil)
-	return
 }
 
 // LinkSelection compares the paper's round-robin injection with

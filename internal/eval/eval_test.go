@@ -111,9 +111,9 @@ func TestRunFigure5Series(t *testing.T) {
 	}
 }
 
-func TestQueueDepthSweepMonotonicity(t *testing.T) {
+func TestSweepQueueDepthMonotonicity(t *testing.T) {
 	base := core.Table1Configs()[0]
-	rows, err := QueueDepthSweep(base, []int{2, 64}, evalRequests, 1)
+	rows, err := Sweep(base, "queue-depth", []int{2, 64}, func(c *core.Config, v int) { c.QueueDepth = v }, evalRequests, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +140,12 @@ func TestBlockSizeSweepRuns(t *testing.T) {
 	}
 }
 
-func TestFaultSweepMonotone(t *testing.T) {
+func TestSweepFaultMonotone(t *testing.T) {
 	base := core.Table1Configs()[0]
-	rows, err := FaultSweep(base, []int{0, 100000}, evalRequests, 1)
+	rows, err := Sweep(base, "fault-ppm", []int{0, 100000}, func(c *core.Config, v int) {
+		c.Fault.TransientPPM = v
+		c.Fault.Seed = 1
+	}, evalRequests, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +164,12 @@ func TestFaultSweepMonotone(t *testing.T) {
 	}
 }
 
-func TestPassingComparisonCompletes(t *testing.T) {
-	strict, passing, err := PassingComparison(core.Table1Configs()[0], evalRequests, 1)
+func TestSweepPassingCompletes(t *testing.T) {
+	rows, err := Sweep(core.Table1Configs()[0], "xbar-passing", []int{0, 1}, func(c *core.Config, v int) { c.XbarPassing = v == 1 }, evalRequests, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	strict, passing := rows[0].Result, rows[1].Result
 	if strict.Sent != evalRequests || passing.Sent != evalRequests {
 		t.Fatalf("sent: strict %d passing %d", strict.Sent, passing.Sent)
 	}
@@ -225,8 +229,8 @@ func TestRunFigure5AllComparison(t *testing.T) {
 	}
 }
 
-func TestXbarDepthSweepRuns(t *testing.T) {
-	rows, err := XbarDepthSweep(core.Table1Configs()[0], []int{16, 128}, evalRequests/4, 1)
+func TestSweepXbarDepthRuns(t *testing.T) {
+	rows, err := Sweep(core.Table1Configs()[0], "xbar-depth", []int{16, 128}, func(c *core.Config, v int) { c.XbarDepth = v }, evalRequests/4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

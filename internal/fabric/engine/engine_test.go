@@ -261,42 +261,3 @@ func TestBuildRejectsBadSpec(t *testing.T) {
 		t.Error("1x1 mesh built")
 	}
 }
-
-// TestDetachedChannels pins the shim substrate numa rides on: channels
-// run detached and their per-channel results match running each alone.
-func TestDetachedChannels(t *testing.T) {
-	const chans, n = 2, 300
-	cfg := cubeConfig()
-	mk := func(ch int) workload.Generator {
-		g, err := workload.NewRandomAccess(uint32(ch+1), 1<<30, 64, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	cs, err := BuildChannels(chans, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunDetached(cs, mk, n, host.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ch := 0; ch < chans; ch++ {
-		solo, err := BuildChannels(1, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := host.NewDriver(solo[0], host.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := d.Run(mk(ch), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := eval.ResultDigest(got[ch]), eval.ResultDigest(want); g != w {
-			t.Errorf("channel %d digest %016x, want solo %016x", ch, g, w)
-		}
-	}
-}

@@ -177,8 +177,8 @@ func TestInterleaveRoundTrip(t *testing.T) {
 }
 
 // TestInterleaveMatchesBitSlice pins the power-of-two equivalence with
-// the classic bit-slice interleave package numa used: channel bits
-// extracted at the block boundary, upper bits shifted down.
+// the classic bit-slice channel interleave: channel bits extracted at
+// the block boundary, upper bits shifted down.
 func TestInterleaveMatchesBitSlice(t *testing.T) {
 	const ways, block = 4, 64
 	iv := Interleave{Ways: ways, Block: block}

@@ -96,3 +96,14 @@ func FuzzCRC(f *testing.F) {
 		}
 	})
 }
+
+func BenchmarkCRC(b *testing.B) {
+	words := make([]uint64, MaxWords)
+	for i := range words {
+		words[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	b.SetBytes(int64(len(words) * 8))
+	for b.Loop() {
+		CRC(words)
+	}
+}

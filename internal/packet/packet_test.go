@@ -417,3 +417,32 @@ func TestCRCKnownValues(t *testing.T) {
 		t.Error("CRC collision on trivially distinct inputs")
 	}
 }
+
+func BenchmarkPacketBuildRequest(b *testing.B) {
+	data := make([]uint64, 8)
+	var i uint64
+	for b.Loop() {
+		_, err := BuildRequest(Request{
+			CUB: 1, Addr: i & 0x3FFFFFFF, Tag: uint16(i) & MaxTag,
+			Cmd: CmdWR64, Data: data,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
+func BenchmarkPacketDecodeResponse(b *testing.B) {
+	p, err := BuildResponse(Response{
+		CUB: 1, Tag: 3, Cmd: CmdRDRS, Data: make([]uint64, 8),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := p.AsResponse(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -414,25 +415,31 @@ func TestCacheEvictionUnderBudget(t *testing.T) {
 
 // TestCacheSmokeHTTP is the end-to-end smoke the CI cache-smoke target
 // runs: three identical submissions over HTTP yield one simulation and
-// two provenance-stamped hits, visible in the metrics exposition.
+// two provenance-stamped hits, visible in the metrics exposition; then a
+// burst of identical concurrent submissions of a fresh spec simulates
+// once, every other copy served as a hit or coalesced.
 func TestCacheSmokeHTTP(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 2, QueueDepth: 8, CacheBytes: cacheMB})
 	defer shutdownNow(t, m)
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 
-	body, _ := json.Marshal(testSpec("smoke", core.Table1Configs()[0], 512))
+	post := func(spec JobSpec) (Status, error) {
+		body, _ := json.Marshal(spec)
+		var st Status
+		rsp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return st, err
+		}
+		defer rsp.Body.Close()
+		return st, json.NewDecoder(rsp.Body).Decode(&st)
+	}
 	var digests []string
 	for i := 0; i < 3; i++ {
-		rsp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		st, err := post(testSpec("smoke", core.Table1Configs()[0], 512))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st Status
-		if err := json.NewDecoder(rsp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		rsp.Body.Close()
 		if i > 0 && st.State != StateDone {
 			t.Fatalf("submission %d not served from cache: %s", i, st.State)
 		}
@@ -474,6 +481,51 @@ func TestCacheSmokeHTTP(t *testing.T) {
 	}
 	if h, ok := vars["cache_lookup_seconds"].(map[string]any); !ok || h["count"].(float64) < 3 {
 		t.Errorf("cache_lookup_seconds histogram missing or undercounted: %v", vars["cache_lookup_seconds"])
+	}
+
+	// Identical concurrent submissions of a spec not yet run: one
+	// simulates, every other copy attaches to it or hits its result. The
+	// job is long enough that copies arrive while it runs, so a broken
+	// coalescer shows as extra simulations rather than as cache hits.
+	const burst = 6
+	ids := make([]string, burst)
+	errs := make([]error, burst)
+	var wg sync.WaitGroup
+	for i := range burst {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := post(testSpec(fmt.Sprintf("burst-%d", i), core.Table1Configs()[1], 1<<16))
+			ids[i], errs[i] = st.ID, err
+		}()
+	}
+	wg.Wait()
+	cold, served := 0, 0
+	var burstDigest string
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		fin := waitTerminal(t, m, id)
+		if fin.State != StateDone {
+			t.Fatalf("burst copy %d failed: %s", i, fin.Error)
+		}
+		switch fin.Result.Cache {
+		case "":
+			cold++
+		case api.CacheHit, api.CacheCoalesced:
+			served++
+		default:
+			t.Errorf("burst copy %d provenance %q", i, fin.Result.Cache)
+		}
+		if burstDigest == "" {
+			burstDigest = fin.Result.ResultDigest
+		} else if fin.Result.ResultDigest != burstDigest {
+			t.Errorf("burst copy %d digest %s, copy 0 %s", i, fin.Result.ResultDigest, burstDigest)
+		}
+	}
+	if cold != 1 || served != burst-1 {
+		t.Errorf("burst of %d: %d simulated, %d hits or coalesced; want 1 and %d", burst, cold, served, burst-1)
 	}
 }
 

@@ -303,3 +303,10 @@ func TestZipfDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkGlibcRand(b *testing.B) {
+	g := NewGlibcRand(1)
+	for b.Loop() {
+		g.Next()
+	}
+}
