@@ -13,14 +13,15 @@ import (
 	"testing"
 )
 
-// buildTool compiles one cmd binary into the test temp dir.
-func buildTool(t *testing.T, name string) string {
+// buildTool compiles the main package at pkg (./cmd/X, ./examples/X)
+// into the test temp dir.
+func buildTool(t *testing.T, pkg string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	cmd := exec.Command("go", "build", "-o", bin, pkg)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }
@@ -34,11 +35,32 @@ func runTool(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+// TestExampleGoldens pins the two examples that regenerate
+// EXPERIMENTS.md's DDR-contrast and CPI tables: their default-flag
+// output must equal the goldens under testdata/.
+func TestExampleGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build in -short mode")
+	}
+	for _, name := range []string{"cpi", "ddrcompare"} {
+		t.Run(name, func(t *testing.T) {
+			got := runTool(t, buildTool(t, "./examples/"+name))
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("./examples/%s output differs from testdata/%s.golden\n got:\n%s\nwant:\n%s", name, name, got, want)
+			}
+		})
+	}
+}
+
 func TestCLITable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	bin := buildTool(t, "hmcsim-table1")
+	bin := buildTool(t, "./cmd/hmcsim-table1")
 	out := runTool(t, bin, "-requests", "16384")
 	for _, frag := range []string{
 		"Simulation Runtime in Clock Cycles",
@@ -61,7 +83,7 @@ func TestCLIRandTraceTraceAnalyzerPipeline(t *testing.T) {
 	tracePath := filepath.Join(dir, "run.trace")
 	csvPath := filepath.Join(dir, "fig5.csv")
 
-	rand := buildTool(t, "hmcsim-rand")
+	rand := buildTool(t, "./cmd/hmcsim-rand")
 	out := runTool(t, rand, "-requests", "5000", "-trace", tracePath, "-trace-level", "all", "-energy", "-bw")
 	for _, frag := range []string{"simulated runtime", "bank conflicts", "pJ/bit", "GB/s"} {
 		if !strings.Contains(out, frag) {
@@ -73,7 +95,7 @@ func TestCLIRandTraceTraceAnalyzerPipeline(t *testing.T) {
 		t.Fatalf("trace file missing or empty: %v", err)
 	}
 
-	analyzer := buildTool(t, "hmcsim-trace")
+	analyzer := buildTool(t, "./cmd/hmcsim-trace")
 	out = runTool(t, analyzer, "-csv", csvPath, tracePath)
 	for _, frag := range []string{"events:", "RQST", "busiest vaults"} {
 		if !strings.Contains(out, frag) {
@@ -95,7 +117,7 @@ func TestCLIRandRecordReplay(t *testing.T) {
 	}
 	dir := t.TempDir()
 	tr := filepath.Join(dir, "w.trace")
-	rand := buildTool(t, "hmcsim-rand")
+	rand := buildTool(t, "./cmd/hmcsim-rand")
 	out1 := runTool(t, rand, "-requests", "3000", "-record", tr)
 	if !strings.Contains(out1, "recorded 3000 accesses") {
 		t.Fatalf("record missing:\n%s", out1)
@@ -122,7 +144,7 @@ func TestCLITopoDot(t *testing.T) {
 	}
 	dir := t.TempDir()
 	dot := filepath.Join(dir, "ring.dot")
-	bin := buildTool(t, "hmcsim-topo")
+	bin := buildTool(t, "./cmd/hmcsim-topo")
 	out := runTool(t, bin, "-topo", "ring", "-devs", "4", "-dot", dot, "-smoke", "500")
 	for _, frag := range []string{"root devices", "smoke run: 500 requests", "host-hop distance"} {
 		if !strings.Contains(out, frag) {
@@ -142,7 +164,7 @@ func TestCLIFig5All(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	bin := buildTool(t, "hmcsim-fig5")
+	bin := buildTool(t, "./cmd/hmcsim-fig5")
 	out := runTool(t, bin, "-all", "-requests", "16384")
 	if !strings.Contains(out, "Latency/req") || !strings.Contains(out, "8-Link; 16-Bank; 8GB") {
 		t.Errorf("fig5 -all output:\n%s", out)
@@ -155,7 +177,7 @@ func TestCLIRepro(t *testing.T) {
 	}
 	dir := t.TempDir()
 	report := filepath.Join(dir, "REPORT.md")
-	bin := buildTool(t, "hmcsim-repro")
+	bin := buildTool(t, "./cmd/hmcsim-repro")
 	out := runTool(t, bin, "-requests", "16384", "-out", report)
 	if !strings.Contains(out, "wrote") {
 		t.Fatalf("repro output:\n%s", out)
@@ -181,7 +203,7 @@ func TestCLIFaultsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	bin := buildTool(t, "hmcsim-faults")
+	bin := buildTool(t, "./cmd/hmcsim-faults")
 	args := []string{"-requests", "1024", "-seed", "9"}
 	out1 := runTool(t, bin, args...)
 	out2 := runTool(t, bin, args...)
@@ -201,7 +223,7 @@ func TestCLIFaultsRingDegraded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	bin := buildTool(t, "hmcsim-faults")
+	bin := buildTool(t, "./cmd/hmcsim-faults")
 	out := runTool(t, bin,
 		"-requests", "512", "-topo", "ring", "-devs", "4",
 		"-fail-link", "0:1",
@@ -225,7 +247,7 @@ func TestCLITable1JSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	bin := buildTool(t, "hmcsim-table1")
+	bin := buildTool(t, "./cmd/hmcsim-table1")
 	out := runTool(t, bin, "-json", "-requests", "4096")
 	var rep struct {
 		Requests uint64 `json:"requests"`
@@ -268,7 +290,7 @@ func TestCLIServeDrainsOnSIGTERM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	serve := buildTool(t, "hmcsim-serve")
+	serve := buildTool(t, "./cmd/hmcsim-serve")
 	cmd := exec.Command(serve, "-addr", "127.0.0.1:0", "-workers", "2", "-drain", "30s")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

@@ -69,7 +69,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("uninterrupted reference run: %v", err)
 	}
 
-	serve := buildTool(t, "hmcsim-serve")
+	serve := buildTool(t, "./cmd/hmcsim-serve")
 	dataDir := t.TempDir()
 	args := []string{
 		"-addr", "127.0.0.1:0", "-workers", "1",

@@ -16,6 +16,7 @@ import (
 	"hmcsim/internal/cpu"
 	"hmcsim/internal/ddrsim"
 	"hmcsim/internal/eval"
+	"hmcsim/internal/host"
 	"hmcsim/internal/workload"
 )
 
@@ -35,18 +36,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		b, err := cpu.NewHMCBackend(h, 0)
+		d, err := host.NewDriver(h, host.Options{Posted: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return b
+		return d
 	}
 	newDDR := func() cpu.Memory {
-		b, err := cpu.NewDDRBackend(ddrsim.DDR3_1600(2))
+		d, err := ddrsim.New(ddrsim.DDR3_1600(2))
 		if err != nil {
 			log.Fatal(err)
 		}
-		return b
+		return d
 	}
 
 	run := func(mem cpu.Memory, blocking int) cpu.Result {

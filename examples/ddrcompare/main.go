@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"hmcsim/internal/core"
+	"hmcsim/internal/cpu"
 	"hmcsim/internal/ddrsim"
 	"hmcsim/internal/eval"
 	"hmcsim/internal/host"
@@ -28,43 +29,18 @@ func main() {
 	}
 	ddrCfg := ddrsim.DDR3_1600(2)
 
-	runHMC := func(gen workload.Generator) host.Result {
-		h, err := eval.BuildSimple(hmcCfg)
+	// Both memories run on one open-loop runner, cpu.Stream, each over a
+	// fresh generator.
+	run := func(mem cpu.Memory, newGen func() (workload.Generator, error)) cpu.StreamResult {
+		gen, err := newGen()
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := host.NewDriver(h, host.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := d.Run(gen, *n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
-	}
-	runDDR := func(gen workload.Generator) ddrsim.Result {
-		res, err := ddrsim.Run(ddrCfg, gen, *n)
+		res, err := cpu.Stream(mem, gen, *n)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return res
-	}
-
-	type mk func() workload.Generator
-	newRandom := func() workload.Generator {
-		g, err := workload.NewRandomAccess(1, 2<<30, 64, 50)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return g
-	}
-	newStream := func() workload.Generator {
-		g, err := workload.NewStream(1, 1<<28, 64, 50)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return g
 	}
 
 	fmt.Printf("HMC: %v        DDR baseline: %d channels x %d banks, 8KB rows, FR-FCFS\n\n",
@@ -73,16 +49,29 @@ func main() {
 
 	for _, w := range []struct {
 		name string
-		gen  mk
+		gen  func() (workload.Generator, error)
 	}{
-		{"random", newRandom},
-		{"stream", newStream},
+		{"random", func() (workload.Generator, error) { return workload.NewRandomAccess(1, 2<<30, 64, 50) }},
+		{"stream", func() (workload.Generator, error) { return workload.NewStream(1, 1<<28, 64, 50) }},
 	} {
-		hr := runHMC(w.gen())
-		dr := runDDR(w.gen())
+		h, err := eval.BuildSimple(hmcCfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		drv, err := host.NewDriver(h, host.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		ddr, err := ddrsim.New(ddrCfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		hr := run(drv, w.gen)
+		dr := run(ddr, w.gen)
 		fmt.Printf("%-10s %-6s %12d %12.3f %14.1f\n", w.name, "HMC", hr.Cycles, hr.Throughput(), hr.Latency.Mean())
 		fmt.Printf("%-10s %-6s %12d %12.3f %14.1f\n", w.name, "DDR", dr.Cycles, dr.Throughput(), dr.Latency.Mean())
-		hitRate := float64(dr.Stats.RowHits) / float64(dr.Stats.RowHits+dr.Stats.RowMisses+dr.Stats.RowOpens)
+		st := ddr.Stats()
+		hitRate := float64(st.RowHits) / float64(st.RowHits+st.RowMisses+st.RowOpens)
 		fmt.Printf("%-10s DDR row-hit rate %.0f%%; HMC advantage: %.1fx fewer cycles\n\n",
 			w.name, 100*hitRate, float64(dr.Cycles)/float64(hr.Cycles))
 	}

@@ -9,13 +9,15 @@
 // issue requests to an attached Memory backend; the core stalls when the
 // outstanding-request window (MLP) is exhausted, when the backend refuses
 // an issue, or when a dependent (blocking) load has not yet returned.
-// Two backends adapt the two memory models of this repository: the HMC
-// simulation engine and the banked-DDR baseline.
+// Both memory models of this repository satisfy Memory directly: the HMC
+// engine through its host driver (host.Driver) and the banked-DDR
+// baseline (ddrsim.DDR). Stream drives either open loop.
 package cpu
 
 import (
 	"fmt"
 
+	"hmcsim/internal/stats"
 	"hmcsim/internal/workload"
 )
 
@@ -26,8 +28,9 @@ type Memory interface {
 	// it this cycle (the core must stall and retry after Tick).
 	Issue(a workload.Access) (id uint64, ok bool)
 	// Tick advances the memory clock one cycle and returns the IDs of
-	// requests whose responses arrived. Posted stores complete silently
-	// and never appear here.
+	// requests that completed; the slice is valid until the next Tick.
+	// Posted stores may complete silently, and a backend may report IDs
+	// its caller does not track (stores, say): the core ignores those.
 	Tick() ([]uint64, error)
 	// OutstandingLimit is the backend's own bound on in-flight requests
 	// (tag space); the effective window is min(MLP, OutstandingLimit).
@@ -124,11 +127,59 @@ func (c *Core) Run(n uint64) (Result, error) {
 	inFlight := make(map[uint64]bool)
 	var blockOn uint64
 	blocked := false
+	// A memory instruction holds the head, its access and load/store
+	// draw with it, until it issues: a stall delays it, never redraws it.
+	var a workload.Access
+	isLoad, headMem := false, false
 
-	tick := func() error {
+	// Every iteration is one cycle: at most one instruction retires, then
+	// the memory ticks.
+	for res.Instructions < n || len(inFlight) > 0 {
+		switch {
+		case res.Instructions == n:
+			// Drain outstanding loads so latency is fully accounted.
+			if res.Cycles > 1000*n+100000 {
+				return res, fmt.Errorf("cpu: drain did not converge with %d loads in flight", len(inFlight))
+			}
+		case blocked:
+			// A blocking load in flight freezes the pipeline.
+			res.StallDepend++
+		case !headMem && int(c.rng.Next()%100) >= c.cfg.MemPercent:
+			res.Instructions++
+		default:
+			if !headMem {
+				a = c.gen.Next()
+				isLoad = int(c.rng.Next()%100) < c.cfg.LoadPercent
+				a.Write = !isLoad
+				headMem = true
+			}
+			// The memory instruction needs a window slot and an accepted
+			// issue.
+			id, ok := uint64(0), len(inFlight) < window
+			if ok {
+				id, ok = c.mem.Issue(a)
+			}
+			if !ok {
+				res.StallMLP++
+				break
+			}
+			headMem = false
+			res.Instructions++
+			res.MemOps++
+			if !isLoad {
+				// Stores are not waited on; a backend may post them.
+				res.Stores++
+				break
+			}
+			res.Loads++
+			inFlight[id] = true
+			if int(c.rng.Next()%100) < c.cfg.BlockingPercent {
+				blocked, blockOn = true, id
+			}
+		}
 		done, err := c.mem.Tick()
 		if err != nil {
-			return err
+			return res, err
 		}
 		res.Cycles++
 		for _, id := range done {
@@ -137,70 +188,67 @@ func (c *Core) Run(n uint64) (Result, error) {
 				blocked = false
 			}
 		}
-		return nil
-	}
-
-	for res.Instructions < n {
-		// A blocking load in flight freezes the pipeline.
-		if blocked {
-			res.StallDepend++
-			if err := tick(); err != nil {
-				return res, err
-			}
-			continue
-		}
-		isMem := int(c.rng.Next()%100) < c.cfg.MemPercent
-		if !isMem {
-			res.Instructions++
-			if err := tick(); err != nil {
-				return res, err
-			}
-			continue
-		}
-		// Memory instruction: need a window slot.
-		if len(inFlight) >= window {
-			res.StallMLP++
-			if err := tick(); err != nil {
-				return res, err
-			}
-			continue
-		}
-		a := c.gen.Next()
-		isLoad := int(c.rng.Next()%100) < c.cfg.LoadPercent
-		a.Write = !isLoad
-		id, ok := c.mem.Issue(a)
-		if !ok {
-			res.StallMLP++
-			if err := tick(); err != nil {
-				return res, err
-			}
-			continue
-		}
-		res.Instructions++
-		res.MemOps++
-		if isLoad {
-			res.Loads++
-			inFlight[id] = true
-			if int(c.rng.Next()%100) < c.cfg.BlockingPercent {
-				blocked = true
-				blockOn = id
-			}
-		} else {
-			res.Stores++
-			// Posted stores complete silently at the backend.
-		}
-		if err := tick(); err != nil {
-			return res, err
-		}
-	}
-	// Drain outstanding loads so latency is fully accounted.
-	for len(inFlight) > 0 {
-		if err := tick(); err != nil {
-			return res, err
-		}
-		if res.Cycles > 1000*n+100000 {
-			return res, fmt.Errorf("cpu: drain did not converge with %d loads in flight", len(inFlight))
-		}
 	}
 	return res, nil
+}
+
+// StreamResult summarizes a Stream run.
+type StreamResult struct {
+	// Cycles is the memory clock at the last completion.
+	Cycles uint64
+	// Sent is the number of accesses issued.
+	Sent uint64
+	// Latency is the distribution of issue-to-completion cycles.
+	Latency stats.Histogram
+}
+
+// Throughput returns requests per cycle.
+func (r StreamResult) Throughput() float64 {
+	if r.Cycles == 0 {
+		return 0
+	}
+	return float64(r.Sent) / float64(r.Cycles)
+}
+
+// Stream drives n accesses from gen through mem open loop, with the host
+// driver's inject-until-stall discipline: each cycle it issues until mem
+// refuses, keeping the refused access for the next cycle, then ticks.
+// It runs until every access has completed, so mem must report each one:
+// a memory that posts stores never does.
+func Stream(mem Memory, gen workload.Generator, n uint64) (StreamResult, error) {
+	var res StreamResult
+	issued := make(map[uint64]uint64) // ID -> issue cycle
+	maxCycles := 1000*n + 100000
+	var a workload.Access
+	queued := false
+	for {
+		for res.Sent < n {
+			if !queued {
+				a, queued = gen.Next(), true
+			}
+			id, ok := mem.Issue(a)
+			if !ok {
+				break
+			}
+			issued[id] = res.Cycles
+			res.Sent++
+			queued = false
+		}
+		if res.Sent == n && len(issued) == 0 {
+			return res, nil
+		}
+		done, err := mem.Tick()
+		if err != nil {
+			return res, err
+		}
+		res.Cycles++
+		for _, id := range done {
+			res.Latency.Observe(res.Cycles - issued[id])
+			delete(issued, id)
+		}
+		if res.Cycles > maxCycles {
+			return res, fmt.Errorf("cpu: stream exceeded %d cycles with %d outstanding (%d/%d sent)",
+				maxCycles, len(issued), res.Sent, n)
+		}
+	}
 }

@@ -1,39 +1,42 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/ddrsim"
+	"hmcsim/internal/eval"
+	"hmcsim/internal/fault"
+	"hmcsim/internal/host"
 	"hmcsim/internal/workload"
 )
 
-func hmcObject(t *testing.T) *core.HMC {
+// hmcBackend is the HMC engine's host driver with posted stores.
+func hmcBackend(t *testing.T) *host.Driver {
 	t.Helper()
-	cfg := core.Config{
+	h, err := eval.BuildSimple(core.Config{
 		NumDevs: 1, NumLinks: 4, NumVaults: 16, QueueDepth: 32,
 		NumBanks: 8, NumDRAMs: 20, CapacityGB: 2, XbarDepth: 64,
-	}
-	h, err := core.New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l := 0; l < 4; l++ {
-		if err := h.ConnectHost(0, l); err != nil {
-			t.Fatal(err)
-		}
+	d, err := host.NewDriver(h, host.Options{Posted: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return h
+	return d
 }
 
-func hmcBackend(t *testing.T) *HMCBackend {
+func ddrBackend(t *testing.T) *ddrsim.DDR {
 	t.Helper()
-	b, err := NewHMCBackend(hmcObject(t), 0)
+	d, err := ddrsim.New(ddrsim.DDR3_1600(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return d
 }
 
 func gen(t *testing.T) workload.Generator {
@@ -109,12 +112,8 @@ func TestPointerChaseCPITracksLatency(t *testing.T) {
 	// against the lightly loaded HMC (single-cycle unloaded round trip)
 	// the chase stays near 1 — exactly the contrast the stacked-memory
 	// architecture promises for latency-bound codes.
-	ddrB, err := NewDDRBackend(ddrsim.DDR3_1600(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	chase := Config{MLP: 64, MemPercent: 50, LoadPercent: 100, BlockingPercent: 100}
-	c, err := New(chase, ddrB, gen(t))
+	c, err := New(chase, ddrBackend(t), gen(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +163,8 @@ func TestBlockingMonotonicity(t *testing.T) {
 func TestMLPWindowMatters(t *testing.T) {
 	// Against the slow DDR baseline, a wider window overlaps more misses.
 	run := func(mlp int) float64 {
-		b, err := NewDDRBackend(ddrsim.DDR3_1600(2))
-		if err != nil {
-			t.Fatal(err)
-		}
 		c, err := New(Config{MLP: mlp, MemPercent: 50, LoadPercent: 100, BlockingPercent: 0},
-			b, gen(t))
+			ddrBackend(t), gen(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +194,7 @@ func TestHMCBeatsDDROnRandomLoads(t *testing.T) {
 		return res.CPI()
 	}
 	hmcCPI := mk(hmcBackend(t))
-	ddrB, err := NewDDRBackend(ddrsim.DDR3_1600(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ddrCPI := mk(ddrB)
+	ddrCPI := mk(ddrBackend(t))
 	if hmcCPI >= ddrCPI {
 		t.Errorf("HMC CPI %.2f not better than DDR CPI %.2f on random loads", hmcCPI, ddrCPI)
 	}
@@ -269,5 +260,90 @@ func TestBackendErrorPropagates(t *testing.T) {
 	}
 	if _, err := c.Run(100); err == nil {
 		t.Error("backend error swallowed")
+	}
+}
+
+// TestMemOpMixIndependentOfBackend pins that backpressure stalls a
+// memory instruction rather than redrawing it: the same seed yields the
+// same memory, load and store counts on the HMC and on the far slower
+// DDR baseline, however long each stalls.
+func TestMemOpMixIndependentOfBackend(t *testing.T) {
+	cfg := Config{MLP: 1, MemPercent: 40, LoadPercent: 80, Seed: 7}
+	run := func(mem Memory) Result {
+		c, err := New(cfg, mem, gen(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	h, d := run(hmcBackend(t)), run(ddrBackend(t))
+	if h.MemOps != d.MemOps || h.Loads != d.Loads || h.Stores != d.Stores {
+		t.Errorf("HMC mem/loads/stores %d/%d/%d, DDR %d/%d/%d",
+			h.MemOps, h.Loads, h.Stores, d.MemOps, d.Loads, d.Stores)
+	}
+	if d.StallMLP == 0 {
+		t.Error("DDR at MLP 1 never stalled: the case exercises no backpressure")
+	}
+}
+
+// TestIssueErrorSurfaces runs a core over a device whose host links have
+// all failed: the driver's refusal must end the run with its error, not
+// stall it forever.
+func TestIssueErrorSurfaces(t *testing.T) {
+	cfg := core.Table1Configs()[0]
+	for l := range cfg.NumLinks {
+		cfg.Fault.FailedLinks = append(cfg.Fault.FailedLinks, fault.LinkID{Dev: 0, Link: l})
+	}
+	h, err := eval.BuildSimple(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := host.NewDriver(h, host.Options{Posted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{MLP: 8, MemPercent: 40, LoadPercent: 80}, d, gen(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(1000); !errors.Is(err, host.ErrAllLinksFailed) {
+		t.Fatalf("Run = %v, want %v", err, host.ErrAllLinksFailed)
+	}
+}
+
+// TestStreamOverDriverEqualsRun pins that the driver's Memory face is the
+// same host as its Run loop: on every Table I configuration Stream
+// measures the cycles, requests and latency distribution Run does.
+func TestStreamOverDriverEqualsRun(t *testing.T) {
+	const n = 1 << 14
+	for _, cfg := range core.Table1Configs() {
+		want, err := eval.RunRandom(cfg, n, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := eval.BuildSimple(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := host.NewDriver(h, host.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := eval.RandomWorkload(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Stream(d, g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cycles != want.Cycles || got.Sent != want.Sent || got.Latency != want.Latency {
+			t.Errorf("%v: Stream %d cycles, %d sent, mean latency %.3f; Run %d, %d, %.3f",
+				cfg, got.Cycles, got.Sent, got.Latency.Mean(), want.Cycles, want.Sent, want.Latency.Mean())
+		}
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+
+	"hmcsim/internal/workload"
 )
 
 // Config describes the banked DRAM geometry and timing. Timing values are
@@ -134,6 +136,11 @@ type DDR struct {
 	busFreeAt []uint64
 	stats     Stats
 
+	// nextTag numbers the requests Issue enqueues; ids is the completion
+	// list Tick returns, reused every cycle.
+	nextTag uint64
+	ids     []uint64
+
 	chanShift, chanBits uint
 	chanMask, bankMask  uint64
 }
@@ -194,6 +201,32 @@ func (d *DDR) Enqueue(r Request) error {
 	d.queue[ch] = append(d.queue[ch], pending{req: r, channel: ch, bank: b, row: row})
 	return nil
 }
+
+// Issue enqueues a — the memory interface of the processor model
+// (cpu.Memory) — and returns its tag, numbered in issue order. ok is
+// false when the channel queue is full.
+func (d *DDR) Issue(a workload.Access) (id uint64, ok bool) {
+	if d.Enqueue(Request{Addr: a.Addr, Write: a.Write, Tag: d.nextTag}) != nil {
+		return 0, false
+	}
+	d.nextTag++
+	return d.nextTag - 1, true
+}
+
+// Tick advances the controller one cycle and returns the tags of every
+// request that completed, stores included. The slice is reused by the
+// next Tick.
+func (d *DDR) Tick() ([]uint64, error) {
+	d.ids = d.ids[:0]
+	for _, c := range d.Clock() {
+		d.ids = append(d.ids, c.Tag)
+	}
+	return d.ids, nil
+}
+
+// OutstandingLimit reports no tag-space bound: the channel queues bound
+// the requests in flight through Issue's refusals.
+func (d *DDR) OutstandingLimit() int { return 1 << 30 }
 
 // Clock advances the controller by one cycle and returns the requests
 // whose data bursts completed during this cycle.

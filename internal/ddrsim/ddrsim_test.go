@@ -3,6 +3,7 @@ package ddrsim
 import (
 	"testing"
 
+	"hmcsim/internal/cpu"
 	"hmcsim/internal/workload"
 )
 
@@ -11,6 +12,21 @@ func smallCfg() Config {
 		Channels: 2, Banks: 8, RowBytes: 8192, CapacityGB: 2,
 		QueueDepth: 16, TRCD: 11, TCAS: 11, TRP: 11, TBurst: 4,
 	}
+}
+
+// stream drives n accesses from gen through a new DDR subsystem on the
+// open-loop runner and returns the run and the controller counters.
+func stream(t *testing.T, cfg Config, gen workload.Generator, n uint64) (cpu.StreamResult, Stats) {
+	t.Helper()
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cpu.Stream(d, gen, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, d.Stats()
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -130,17 +146,14 @@ func TestAllRequestsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(smallCfg(), gen, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, st := stream(t, smallCfg(), gen, 2000)
 	if res.Sent != 2000 {
 		t.Errorf("sent = %d", res.Sent)
 	}
 	if res.Latency.Count() != 2000 {
 		t.Errorf("latencies = %d", res.Latency.Count())
 	}
-	if got := res.Stats.Reads + res.Stats.Writes; got != 2000 {
+	if got := st.Reads + st.Writes; got != 2000 {
 		t.Errorf("retired = %d", got)
 	}
 	if res.Cycles == 0 {
@@ -152,36 +165,27 @@ func TestStreamBeatsRandom(t *testing.T) {
 	// The defining property of the row-buffer model: streaming traffic
 	// (row hits) sustains far higher throughput than random traffic (row
 	// misses).
-	stream, _ := workload.NewStream(1, 1<<20, 64, 50)
+	seq, _ := workload.NewStream(1, 1<<20, 64, 50)
 	random, _ := workload.NewRandomAccess(1, 1<<30, 64, 50)
-	rs, err := Run(smallCfg(), stream, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := Run(smallCfg(), random, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs, ss := stream(t, smallCfg(), seq, 4000)
+	rr, sr := stream(t, smallCfg(), random, 4000)
 	if rs.Throughput() <= rr.Throughput() {
 		t.Errorf("stream %.3f req/cyc not faster than random %.3f",
 			rs.Throughput(), rr.Throughput())
 	}
-	if rs.Stats.RowHits <= rr.Stats.RowHits {
-		t.Errorf("stream row hits %d <= random row hits %d", rs.Stats.RowHits, rr.Stats.RowHits)
+	if ss.RowHits <= sr.RowHits {
+		t.Errorf("stream row hits %d <= random row hits %d", ss.RowHits, sr.RowHits)
 	}
 }
 
 func TestFRFCFSBeatsFCFSOnMixedTraffic(t *testing.T) {
 	// Hotspot traffic mixes row hits and misses; FR-FCFS must not be
 	// slower than strict FCFS.
-	run := func(frfcfs bool) Result {
+	run := func(frfcfs bool) cpu.StreamResult {
 		cfg := smallCfg()
 		cfg.FRFCFS = frfcfs
 		gen, _ := workload.NewHotspot(3, 1<<28, 1<<13, 60, 64, 50)
-		res, err := Run(cfg, gen, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := stream(t, cfg, gen, 3000)
 		return res
 	}
 	fr := run(true)
@@ -192,16 +196,13 @@ func TestFRFCFSBeatsFCFSOnMixedTraffic(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	run := func() Result {
+	run := func() (cpu.StreamResult, Stats) {
 		gen, _ := workload.NewRandomAccess(9, 1<<28, 64, 50)
-		res, err := Run(smallCfg(), gen, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return stream(t, smallCfg(), gen, 1000)
 	}
-	a, b := run(), run()
-	if a.Cycles != b.Cycles || a.Stats != b.Stats {
+	a, as := run()
+	b, bs := run()
+	if a.Cycles != b.Cycles || as != bs {
 		t.Error("DDR runs not deterministic")
 	}
 }

@@ -173,6 +173,12 @@ type Driver struct {
 	dataBuf [16]uint64
 	// rr is the default round-robin selector, kept across Resets.
 	rr workload.RoundRobin
+
+	// ids is the completion list Tick returns, reused every cycle.
+	ids []uint64
+	// issueErr is the first error an Issue met; every later Issue
+	// refuses and every Tick returns it, until Reset.
+	issueErr error
 }
 
 // runState groups the loop-carried run variables so Run and Resume can
@@ -203,6 +209,7 @@ func NewDriver(h *core.HMC, opts Options) (*Driver, error) {
 func (d *Driver) Reset(opts Options) error {
 	d.opts = opts
 	d.queued, d.hasQueued, d.drawn = workload.Access{}, false, 0
+	d.ids, d.issueErr = d.ids[:0], nil
 	t := d.h.Topology()
 	d.hostLinks = append(d.hostLinks[:0], t.HostLinks(opts.Dev)...)
 	if len(d.hostLinks) == 0 {
@@ -471,8 +478,28 @@ func (d *Driver) inject(gen workload.Generator, n uint64, res *Result) (uint64, 
 			d.drawn++
 			d.hasQueued = true
 		}
-		a := &d.queued
+		_, ok, err := d.send(&d.queued)
+		if err != nil || !ok {
+			return outstanding, false, err
+		}
+		res.Sent++
+		d.hasQueued = false
+		if !d.opts.Posted || !d.queued.Write {
+			outstanding++
+		}
+	}
+	return outstanding, true, nil
+}
 
+// send makes one injection attempt for a, the single-access path of both
+// Run and Issue. It selects a link, skipping failed ones, takes a tag,
+// builds the command and payload and hands the request to the engine.
+// ok is false on a stall: no free tag on the selected link, or a full
+// link queue. An accepted request's ID is link<<16 | tag; a non-posted
+// one holds its tag until drain correlates the response, a posted one
+// releases it at once.
+func (d *Driver) send(a *workload.Access) (id uint64, ok bool, err error) {
+	for {
 		// The selector names a preferred injection link; permanently failed
 		// links are skipped in favour of the next surviving host link
 		// (degraded-mode operation).
@@ -486,13 +513,13 @@ func (d *Driver) inject(gen workload.Generator, n uint64, res *Result) (uint64, 
 			}
 		}
 		if link < 0 {
-			return outstanding, false, fmt.Errorf("%w (device %d)", ErrAllLinksFailed, d.opts.Dev)
+			return 0, false, fmt.Errorf("%w (device %d)", ErrAllLinksFailed, d.opts.Dev)
 		}
 		if len(d.freeTags[link]) == 0 {
 			// No tag available on this link; other links may still have
 			// capacity, but a blocked stream must preserve order — stop
 			// injecting for this cycle.
-			return outstanding, false, nil
+			return 0, false, nil
 		}
 		tag := d.takeTag(link)
 		posted := d.opts.Posted && a.Write
@@ -506,7 +533,6 @@ func (d *Driver) inject(gen workload.Generator, n uint64, res *Result) (uint64, 
 
 		var cmd packet.Command
 		var data []uint64
-		var err error
 		if a.Write {
 			cmd, err = packet.WriteForSize(a.Size, posted)
 			if err == nil {
@@ -524,7 +550,7 @@ func (d *Driver) inject(gen workload.Generator, n uint64, res *Result) (uint64, 
 		}
 		if err != nil {
 			d.putTag(link, tag)
-			return outstanding, false, err
+			return 0, false, err
 		}
 
 		// SendRequest encodes straight into a simulation-owned pooled
@@ -534,7 +560,7 @@ func (d *Driver) inject(gen workload.Generator, n uint64, res *Result) (uint64, 
 		})
 		if errors.Is(err, core.ErrStall) {
 			d.putTag(link, tag)
-			return outstanding, false, nil
+			return 0, false, nil
 		}
 		if errors.Is(err, core.ErrLinkFailed) {
 			// The injection link failed mid-transfer and the packet was
@@ -545,23 +571,61 @@ func (d *Driver) inject(gen workload.Generator, n uint64, res *Result) (uint64, 
 		}
 		if err != nil {
 			d.putTag(link, tag)
-			return outstanding, false, err
+			return 0, false, err
 		}
-		res.Sent++
-		d.hasQueued = false
 		if posted {
 			d.putTag(link, tag)
 		} else {
 			d.pending[link][tag] = int64(d.h.Clk())
 			d.remote[link][tag] = cube != d.opts.Dev
-			outstanding++
 		}
+		return requestID(link, tag), true, nil
 	}
-	return outstanding, true, nil
 }
 
+// requestID is the ID the Memory face reports for the request holding
+// tag on link.
+func requestID(link int, tag uint16) uint64 { return uint64(link)<<16 | uint64(tag) }
+
+// Issue sends a as one request — the memory interface of the processor
+// model (cpu.Memory), with Options.Posted, Select, DestCube and Route
+// applied as in Run — and returns its link<<16 | tag ID. ok is false
+// when the request stalls, or after an error, which the next Tick
+// returns.
+func (d *Driver) Issue(a workload.Access) (id uint64, ok bool) {
+	if d.issueErr != nil {
+		return 0, false
+	}
+	id, ok, err := d.send(&a)
+	if err != nil {
+		d.issueErr = err
+		return 0, false
+	}
+	return id, ok
+}
+
+// Tick clocks the engine one cycle and returns the IDs of the responses
+// that arrived; posted requests never appear. The slice is reused by
+// the next Tick.
+func (d *Driver) Tick() ([]uint64, error) {
+	if d.issueErr != nil {
+		return nil, d.issueErr
+	}
+	if err := d.h.Clock(); err != nil {
+		return nil, err
+	}
+	d.ids = d.ids[:0]
+	_, _, err := d.drain(nil)
+	return d.ids, err
+}
+
+// OutstandingLimit is the tag space of the injection device's host
+// links, the Memory face's bound on requests in flight.
+func (d *Driver) OutstandingLimit() int { return len(d.hostLinks) * (packet.MaxTag + 1) }
+
 // drain receives every waiting response on every host link, recording
-// latencies and counting error responses.
+// latencies into res and counting error responses. A nil res is Tick's:
+// it lists the response IDs in d.ids instead.
 func (d *Driver) drain(res *Result) (completed, errs uint64, err error) {
 	for _, port := range d.drainPorts {
 		if !d.h.RecvReady(port[0], port[1]) {
@@ -601,10 +665,14 @@ func (d *Driver) drain(res *Result) (completed, errs uint64, err error) {
 			if issue < 0 {
 				return completed, errs, fmt.Errorf("host: response on link %d with unknown tag %d", link, rsp.Tag)
 			}
-			lat := d.h.Clk() - uint64(issue)
-			res.Latency.Observe(lat)
-			if d.remote[link][rsp.Tag] {
-				res.RemoteLatency.Observe(lat)
+			if res == nil {
+				d.ids = append(d.ids, requestID(link, rsp.Tag))
+			} else {
+				lat := d.h.Clk() - uint64(issue)
+				res.Latency.Observe(lat)
+				if d.remote[link][rsp.Tag] {
+					res.RemoteLatency.Observe(lat)
+				}
 			}
 			d.putTag(link, rsp.Tag)
 			completed++
