@@ -277,9 +277,13 @@ func TestCLITable1JSON(t *testing.T) {
 		t.Errorf("speedups not > 1: bank %.3f link %.3f", rep.BankSpeedup, rep.LinkSpeedup)
 	}
 	// The -json schema is the service's result schema; a fixed seed must
-	// digest identically across invocations.
-	if out2 := runTool(t, bin, "-json", "-requests", "4096"); out2 != out {
-		t.Error("fixed-seed -json output not byte-identical across runs")
+	// reproduce the committed report byte for byte, run after run.
+	want, err := os.ReadFile(filepath.Join("testdata", "table1.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("-json output differs from testdata/table1.golden.json\n got:\n%s\nwant:\n%s", out, want)
 	}
 }
 

@@ -117,7 +117,7 @@ func main() {
 		NumDevs: t.NumDevs(), NumLinks: t.NumLinks(), NumVaults: 4 * t.NumLinks(),
 		QueueDepth: 64, NumBanks: 8, NumDRAMs: 20, CapacityGB: 2, XbarDepth: 128,
 	}
-	h, err := core.NewWithOptions(cfg, core.WithTopology(t))
+	h, err := core.New(cfg, core.WithTopology(t))
 	if err != nil {
 		fatal(err)
 	}

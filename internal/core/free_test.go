@@ -203,7 +203,7 @@ func freeCases() []freeCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := core.NewWithOptions(withFaults(cfg, failAt), core.WithTopology(ch))
+			h, err := core.New(withFaults(cfg, failAt), core.WithTopology(ch))
 			if err != nil {
 				t.Fatal(err)
 			}

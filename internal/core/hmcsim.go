@@ -157,11 +157,16 @@ func (h *HMC) releaseRetry(rs *retryState) {
 	h.retryPending--
 }
 
-// New initializes one or more simulated HMC devices into a reset state.
-// It is the analogue of hmcsim_init. The returned object has no links
-// configured; wire the topology with ConnectHost / ConnectDevices /
-// UseTopology before clocking.
-func New(cfg Config) (*HMC, error) {
+// New initializes one or more simulated HMC devices into a reset state,
+// then applies opts to it in order. It is the analogue of hmcsim_init.
+// Without options the returned object has no links configured; wire the
+// topology with WithTopology, or with ConnectHost / ConnectDevices /
+// UseTopology, before clocking. An option's error fails construction:
+//
+//	h, err := core.New(cfg,
+//	    core.WithTopology(ring),
+//	    core.WithTrace(tw, trace.MaskPerf))
+func New(cfg Config, opts ...Option) (*HMC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -195,6 +200,11 @@ func New(cfg Config) (*HMC, error) {
 	}
 	h.resetVaultFaults()
 	h.cubeStats = make([]CubeStats, cfg.NumDevs)
+	for _, opt := range opts {
+		if err := opt(h); err != nil {
+			return nil, err
+		}
+	}
 	return h, nil
 }
 

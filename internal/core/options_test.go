@@ -11,7 +11,7 @@ import (
 )
 
 // TestNewWithOptionsEquivalence pins the documented guarantee that
-// NewWithOptions is pure sugar: the option form and the imperative form
+// New's options are pure sugar: the option form and the imperative form
 // build simulators that evolve bit-identically.
 func TestNewWithOptionsEquivalence(t *testing.T) {
 	cfg := Table1Configs()[0]
@@ -32,7 +32,7 @@ func TestNewWithOptionsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optioned, err := NewWithOptions(cfg,
+	optioned, err := New(cfg,
 		WithTopology(ring2),
 		WithTrace(nil, trace.MaskAll)) // nil tracer: no-op by contract
 	if err != nil {
@@ -53,21 +53,23 @@ func TestNewWithOptionsEquivalence(t *testing.T) {
 	}
 }
 
-// TestWithFault checks the fault override lands in the configuration and
-// that an invalid override fails construction as a config error.
+// TestWithFault checks a fault configuration set on the Config lands in
+// the engine's configuration, and that an invalid one fails construction
+// as a config error.
 func TestWithFault(t *testing.T) {
 	cfg := Table1Configs()[0]
-	fc := fault.Config{TransientPPM: 500, Seed: 9}
-	h, err := NewWithOptions(cfg, WithFault(fc))
+	cfg.Fault = fault.Config{TransientPPM: 500, Seed: 9}
+	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Config().Fault; got.TransientPPM != 500 || got.Seed != 9 {
-		t.Errorf("Fault = %+v, want the override", got)
+		t.Errorf("Fault = %+v, want the configured one", got)
 	}
-	_, err = NewWithOptions(cfg, WithFault(fault.Config{TransientPPM: 2000000}))
+	cfg.Fault = fault.Config{TransientPPM: 2000000}
+	_, err = New(cfg)
 	if !errors.Is(err, ErrConfig) {
-		t.Errorf("invalid fault override: err = %v, want ErrConfig", err)
+		t.Errorf("invalid fault config: err = %v, want ErrConfig", err)
 	}
 }
 

@@ -33,13 +33,13 @@ func BuildSimple(cfg core.Config) (*core.HMC, error) {
 }
 
 // BuildSimpleWithOptions is BuildSimple with extra construction options
-// (tracing, fault overrides) threaded through core.NewWithOptions.
+// (tracing) threaded through core.New.
 func BuildSimpleWithOptions(cfg core.Config, opts ...core.Option) (*core.HMC, error) {
 	t, err := simpleTopology(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewWithOptions(cfg, append([]core.Option{core.WithTopology(t)}, opts...)...)
+	return core.New(cfg, append([]core.Option{core.WithTopology(t)}, opts...)...)
 }
 
 // simpleTopology prebuilds the BuildSimple wiring as a topology value,

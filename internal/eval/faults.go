@@ -135,7 +135,7 @@ func runCampaignCell(cfg core.Config, opts CampaignOpts, pt CampaignPoint) (host
 		if err != nil {
 			return host.Result{}, err
 		}
-		h, err = core.NewWithOptions(cfg, core.WithTopology(ring))
+		h, err = core.New(cfg, core.WithTopology(ring))
 		// Traffic spreads over the ring: the destination cube derives
 		// deterministically from the access address, injection stays on
 		// device 0's host links.

@@ -37,8 +37,8 @@ func Config(spec fabric.Spec, cube core.Config) core.Config {
 }
 
 // Build wires spec over identical cubes configured by cube (whose
-// NumDevs is ignored) and constructs the engine. Extra options thread
-// through to core.NewWithOptions — tracing, fault overrides.
+// NumDevs is ignored) and constructs the engine. Extra options, such as
+// tracing, thread through to core.New.
 func Build(spec fabric.Spec, cube core.Config, opts ...core.Option) (*System, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -53,7 +53,7 @@ func Build(spec fabric.Spec, cube core.Config, opts ...core.Option) (*System, er
 		all = append(all, core.WithRouter(r))
 	}
 	all = append(all, opts...)
-	h, err := core.NewWithOptions(cfg, all...)
+	h, err := core.New(cfg, all...)
 	if err != nil {
 		return nil, err
 	}

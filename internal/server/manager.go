@@ -95,7 +95,7 @@ type ManagerConfig struct {
 
 	// runFn substitutes the job executor, for tests exercising panic
 	// recovery, retry and scheduling without paying for real
-	// simulations. Nil selects ExecuteOpts.
+	// simulations. Nil runs each job on its worker's own engine set.
 	runFn func(context.Context, JobSpec, ExecOptions) (Result, error)
 }
 
@@ -120,9 +120,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	}
 	if c.RetryMaxDelay <= 0 {
 		c.RetryMaxDelay = 10 * time.Second
-	}
-	if c.runFn == nil {
-		c.runFn = ExecuteOpts
 	}
 	return c
 }
@@ -752,21 +749,23 @@ func (m *Manager) journal(rec store.Record) {
 // closed and drained. The running slot pop charged to the job's tenant
 // is released on every exit path from runOne — including the early
 // returns for cancelled and suspended jobs — or the lane would leak
-// quota and eventually starve.
+// quota and eventually starve. The worker owns the engines it keeps
+// between jobs: es is never shared with another goroutine.
 func (m *Manager) worker() {
 	defer m.wg.Done()
+	var es engineSet
 	for {
 		j, ok := m.fq.pop()
 		if !ok {
 			return
 		}
-		m.runOne(j)
+		m.runOne(&es, j)
 		m.fq.release(j.tenant)
 	}
 }
 
-// runOne executes one attempt of a job and settles the outcome.
-func (m *Manager) runOne(j *job) {
+// runOne executes one attempt of a job on es and settles the outcome.
+func (m *Manager) runOne(es *engineSet, j *job) {
 	m.mu.Lock()
 	if j.cancelled || j.state.phase != StateQueued {
 		// Cancelled while queued; Cancel already settled the state.
@@ -800,7 +799,7 @@ func (m *Manager) runOne(j *job) {
 
 	eo := m.execOptions(j)
 	m.activeWorkers.Add(1)
-	res, err := m.safeRun(ctx, j.spec, eo)
+	res, err := m.safeRun(ctx, es, j.spec, eo)
 	m.activeWorkers.Add(-1)
 	cancel()
 
@@ -1133,17 +1132,21 @@ func (m *Manager) detachLocked(j *job) {
 	}
 }
 
-// safeRun invokes the executor with panic recovery: a panicking job
-// surfaces as a transiently failed job (worth one more attempt on a
-// fresh simulator instance), not a dead daemon.
-func (m *Manager) safeRun(ctx context.Context, spec JobSpec, eo ExecOptions) (res Result, err error) {
+// safeRun runs the job on es, or through the test hook runFn, with
+// panic recovery: a panicking job surfaces as a transiently failed job
+// (worth one more attempt on a fresh simulator instance, since es does
+// not keep a panicked engine), not a dead daemon.
+func (m *Manager) safeRun(ctx context.Context, es *engineSet, spec JobSpec, eo ExecOptions) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.panics.Add(1)
 			err = Transient(fmt.Errorf("server: job panicked: %v", r))
 		}
 	}()
-	return m.cfg.runFn(ctx, spec, eo)
+	if m.cfg.runFn != nil {
+		return m.cfg.runFn(ctx, spec, eo)
+	}
+	return es.execute(ctx, spec, eo)
 }
 
 // Shutdown closes the manager for new submissions and drains. Without a

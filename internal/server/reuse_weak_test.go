@@ -18,12 +18,12 @@ type hookToken struct {
 	_    [32]byte
 }
 
-// runHookedJob runs spec with a probe and interrupt and checkpoint
-// closures, and returns weak pointers to the probe and to an object only
-// the closures hold.
+// runHookedJob runs spec on es with a probe and interrupt and
+// checkpoint closures, and returns weak pointers to the probe and to an
+// object only the closures hold.
 //
 //go:noinline
-func runHookedJob(t *testing.T, spec JobSpec) (weak.Pointer[obs.Probe], weak.Pointer[hookToken]) {
+func runHookedJob(t *testing.T, es *engineSet, spec JobSpec) (weak.Pointer[obs.Probe], weak.Pointer[hookToken]) {
 	probe, tok := new(obs.Probe), new(hookToken)
 	eo := ExecOptions{
 		Probe: probe,
@@ -41,29 +41,28 @@ func runHookedJob(t *testing.T, spec JobSpec) (weak.Pointer[obs.Probe], weak.Poi
 			return nil
 		},
 	}
-	if _, err := ExecuteOpts(context.Background(), spec, eo); err != nil {
+	if _, err := es.execute(context.Background(), spec, eo); err != nil {
 		t.Fatal(err)
 	}
 	return weak.Make(probe), weak.Make(tok)
 }
 
 // TestParkedEngineDropsJobHooks runs one job with a probe and hook
-// closures, lets its engine and driver park, and requires the probe and
-// the closures to be collectable: a parked engine keeps nothing of the
-// finished job alive.
+// closures, lets its engine set keep its engine and driver, and requires
+// the probe and the closures to be collectable: a kept engine keeps
+// nothing of the finished job alive.
 func TestParkedEngineDropsJobHooks(t *testing.T) {
-	defer emptyIdleEngines()
-	emptyIdleEngines()
-	probe, tok := runHookedJob(t, testSpec("hooks", core.Table1Configs()[0], 256))
-	if p := parkedEngines(); len(p) != 1 || p[0].d == nil {
-		t.Fatalf("%d engines parked after one job, want 1 with its driver", len(p))
+	var es engineSet
+	probe, tok := runHookedJob(t, &es, testSpec("hooks", core.Table1Configs()[0], 256))
+	if len(es.kept) != 1 || es.kept[0].d == nil {
+		t.Fatalf("%d engines kept after one job, want 1 with its driver", len(es.kept))
 	}
 	runtime.GC()
 	runtime.GC()
 	if probe.Value() != nil {
-		t.Error("the parked driver keeps the finished job's probe alive")
+		t.Error("the kept driver keeps the finished job's probe alive")
 	}
 	if tok.Value() != nil {
-		t.Error("the parked driver keeps the finished job's hook closures alive")
+		t.Error("the kept driver keeps the finished job's hook closures alive")
 	}
 }

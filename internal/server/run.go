@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 
 	"hmcsim/internal/core"
 	"hmcsim/internal/eval"
@@ -49,48 +48,118 @@ type ExecOptions struct {
 // honouring ctx cancellation between clock cycles. It is the unit of
 // work a manager worker performs, exported so clients
 // (cmd/hmcsim-table1 -json, tests) can produce byte-identical result
-// payloads without a server.
+// payloads without a server. It runs on a fresh, empty engine set, so
+// it builds the engine it runs on.
 func Execute(ctx context.Context, spec JobSpec) (Result, error) {
-	return ExecuteOpts(ctx, spec, ExecOptions{})
+	var es engineSet
+	return es.execute(ctx, spec, ExecOptions{})
 }
 
-// ExecuteOpts is the full-control executor: Execute plus progress,
-// interrupt, checkpoint and resume hooks. Checkpoint/resume hooks are
-// disabled when the spec attaches a Figure-5 collector — the collector's
-// accumulated series is not part of the checkpoint, so such jobs restart
-// from scratch after a crash instead of resuming with a hole in their
-// series.
-//
-// The job runs on an engine parked by an earlier job with the same
-// configuration and fabric, rewired, when there is one, and on a newly
-// built one otherwise; on every return path the engine is freed and
-// parked for the next job, host driver included (DESIGN.md §8, "Engine
-// reuse across jobs"). A freed engine is indistinguishable from a new
-// one (core.HMC.Free), and a Reset driver from a new one
-// (host.Driver.Reset), so results do not depend on which the job got.
-func ExecuteOpts(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
-	e, err := takeEngine(spec.Config, spec.Fabric)
+// maxKept caps the engines one worker keeps between jobs. The bench's
+// service traffic uses the four Table I shapes; a worker rotating
+// through more distinct engine keys than this rebuilds engines.
+const maxKept = 8
+
+// engineSet is the engines one manager worker keeps between jobs,
+// least recently used first. It has no lock: the worker that declares
+// it is its only user (DESIGN.md §8, "Engine reuse across jobs").
+type engineSet struct {
+	kept []*simEngine
+}
+
+// simEngine is one job's engine with everything its wiring fixes,
+// resolved when it is built: the key it was built from (the
+// configuration with the ignored worker count cleared, and the fabric
+// spec, nil for the single-object wiring), the engine, the fabric
+// system (nil for the single-object wiring), the host-visible
+// capacity, the host options that attach a driver to it, and the
+// topology it runs on, which Free drops and the next job re-applies.
+// The host driver over it is nil until a job builds one.
+type simEngine struct {
+	cfg      core.Config
+	fabric   *fabric.Spec
+	h        *core.HMC
+	sys      *engine.System
+	capacity uint64
+	attach   host.Options
+	wiring   *topo.Topology
+	d        *host.Driver
+}
+
+// execute runs spec on an engine of es, and keeps the engine in es
+// afterwards, whatever the run returned. A freed engine is
+// indistinguishable from a new one (core.HMC.Free), and a Reset driver
+// from a new one (host.Driver.Reset), so results do not depend on which
+// the job got. A run that panics skips keep: its engine is dropped, and
+// a retry gets a fresh one.
+func (es *engineSet) execute(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
+	e, err := es.take(spec.Config, spec.Fabric)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := e.execute(ctx, spec, eo)
-	e.park()
+	res, err := e.run(ctx, spec, eo)
+	es.keep(e)
 	return res, err
 }
 
-// execute runs spec on e's engine, which is freshly built or freed and
+// take returns an engine for (cfg, fab): the most recently kept one
+// with that key, rewired, or failing that a newly built one. The key
+// leaves out the worker count, which the engine ignores.
+func (es *engineSet) take(cfg core.Config, fab *fabric.Spec) (*simEngine, error) {
+	cfg.Workers = 0
+	for i := len(es.kept) - 1; i >= 0; i-- {
+		e := es.kept[i]
+		// Pointers, so comparing does not copy a Config into an interface.
+		if reflect.DeepEqual(&e.cfg, &cfg) && reflect.DeepEqual(e.fabric, fab) {
+			es.kept = slices.Delete(es.kept, i, i+1)
+			return e, e.h.UseTopology(e.wiring)
+		}
+	}
+	e := &simEngine{cfg: cfg, fabric: fab, capacity: uint64(cfg.CapacityGB) << 30}
+	if fab == nil {
+		h, err := eval.BuildSimple(cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.h = h
+	} else {
+		sys, err := engine.Build(*fab, cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.h, e.sys, e.capacity = sys.Engine(), sys, sys.Capacity()
+		e.attach = host.Options{Dev: sys.InjectDev(), Route: sys.Route}
+	}
+	e.wiring = e.h.Topology()
+	return e, nil
+}
+
+// keep frees e's engine and keeps it, evicting the least recently used
+// engine beyond the cap. The driver is reset to the options that only
+// attach it first, so a kept engine holds none of the finished job's
+// hooks: its interrupt closure (and through it the job's context),
+// probe and checkpoint sink.
+func (es *engineSet) keep(e *simEngine) {
+	if e.d != nil && e.d.Reset(e.attach) != nil {
+		e.d = nil
+	}
+	e.h.Free()
+	if len(es.kept) == maxKept {
+		es.kept = slices.Delete(es.kept, 0, 1)
+	}
+	es.kept = append(es.kept, e)
+}
+
+// run runs spec on e's engine, which is freshly built or freed and
 // rewired, through e's driver, which is built on the engine's first job
 // and Reset for every later one.
-func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
-	// A fabric runs as one engine; the driver, run loop and checkpoint
-	// path downstream are the same as for the classic single-object
-	// wiring.
-	h, sys, cfg := e.h, e.sys, e.cfg
-	capacity := uint64(cfg.CapacityGB) << 30
-	if sys != nil {
-		cfg = sys.Config()
-		capacity = sys.Capacity()
-	}
+//
+// Checkpoint/resume hooks are disabled when the spec attaches a
+// Figure-5 collector — the collector's accumulated series is not part
+// of the checkpoint, so such jobs restart from scratch after a crash
+// instead of resuming with a hole in their series.
+func (e *simEngine) run(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
+	cfg := e.h.Config()
 	var col *stats.Fig5Collector
 	var tracer trace.Tracer
 	mask := trace.MaskNone
@@ -98,10 +167,10 @@ func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) 
 		col = stats.NewFig5Collector(0, cfg.NumVaults, spec.Fig5Interval)
 		tracer, mask = col, trace.MaskPerf
 	}
-	h.SetTracer(tracer)
-	h.SetTraceMask(mask)
+	e.h.SetTracer(tracer)
+	e.h.SetTraceMask(mask)
 
-	gen, err := spec.Workload.Build(capacity)
+	gen, err := spec.Workload.Build(e.capacity)
 	if err != nil {
 		return Result{}, err
 	}
@@ -114,39 +183,34 @@ func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) 
 			return ctx.Err()
 		}
 	}
-	hopts := host.Options{
-		Posted:          spec.Posted,
-		Warmup:          spec.Warmup,
-		Interrupt:       interrupt,
-		Progress:        eo.Probe,
-		GapCycles:       spec.Workload.GapCycles,
-		DisableIdleSkip: spec.Workload.NoIdleSkip,
-	}
+	hopts := e.attach
+	hopts.Posted = spec.Posted
+	hopts.Warmup = spec.Warmup
+	hopts.Interrupt = interrupt
+	hopts.Progress = eo.Probe
+	hopts.GapCycles = spec.Workload.GapCycles
+	hopts.DisableIdleSkip = spec.Workload.NoIdleSkip
 	resumable := spec.Fig5Interval == 0
 	if resumable {
 		hopts.CheckpointEvery = eo.CheckpointEvery
 		hopts.Checkpoint = eo.Checkpoint
 	}
-	if sys != nil {
-		hopts.Dev, hopts.Route = sys.InjectDev(), sys.Route
-	}
 	if e.d == nil {
-		e.d, err = host.NewDriver(h, hopts)
+		e.d, err = host.NewDriver(e.h, hopts)
 	} else {
 		err = e.d.Reset(hopts)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	d := e.d
 	var res host.Result
 	if eo.Resume != nil && resumable {
-		res, err = d.Resume(gen, spec.Requests, eo.Resume)
+		res, err = e.d.Resume(gen, spec.Requests, eo.Resume)
 		if errors.Is(err, host.ErrRestore) {
 			return Result{}, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	} else {
-		res, err = d.Run(gen, spec.Requests)
+		res, err = e.d.Run(gen, spec.Requests)
 	}
 	if err != nil {
 		return Result{}, err
@@ -156,95 +220,11 @@ func (e *idleEngine) execute(ctx context.Context, spec JobSpec, eo ExecOptions) 
 		col.Flush()
 		fig5 = col.Samples
 	}
-	out := NewResult(cfg, spec, res, h.Snapshot(), fig5)
-	if sys != nil {
-		out.Fabric = newFabricResult(sys, res)
+	out := NewResult(cfg, spec, res, e.h.Snapshot(), fig5)
+	if e.sys != nil {
+		out.Fabric = newFabricResult(e.sys, res)
 	}
 	return out, nil
-}
-
-// maxIdleEngines caps the engines parked between jobs. The bench's
-// service traffic uses the four Table I shapes; a service rotating
-// through more distinct engine keys than this rebuilds engines.
-const maxIdleEngines = 8
-
-// idleEngine is one job's engine: the key it was built from (the
-// effective configuration and the fabric spec, nil for the single-object
-// wiring), the engine, the host driver over it (nil until a job built
-// one), and — while parked — the topology it ran on, which Free drops
-// and the next job re-applies.
-type idleEngine struct {
-	cfg    core.Config
-	fabric *fabric.Spec
-	h      *core.HMC
-	sys    *engine.System // non-nil for a fabric
-	d      *host.Driver
-	wiring *topo.Topology
-}
-
-// idleEngines holds the parked engines, oldest first.
-var idleEngines struct {
-	sync.Mutex
-	list []*idleEngine
-}
-
-// takeEngine returns an engine for (cfg, fab): the most recently parked
-// one with that key, rewired, or failing that a newly built one. The key
-// leaves out the worker count, which the engine ignores.
-func takeEngine(cfg core.Config, fab *fabric.Spec) (*idleEngine, error) {
-	cfg.Workers = 0
-	idleEngines.Lock()
-	for i := len(idleEngines.list) - 1; i >= 0; i-- {
-		e := idleEngines.list[i]
-		// Pointers, so comparing does not copy a Config into an interface.
-		if reflect.DeepEqual(&e.cfg, &cfg) && reflect.DeepEqual(e.fabric, fab) {
-			idleEngines.list = slices.Delete(idleEngines.list, i, i+1)
-			idleEngines.Unlock()
-			return e, e.h.UseTopology(e.wiring)
-		}
-	}
-	idleEngines.Unlock()
-
-	e := &idleEngine{cfg: cfg, fabric: fab}
-	if fab != nil {
-		sys, err := engine.Build(*fab, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.h, e.sys = sys.Engine(), sys
-		return e, nil
-	}
-	h, err := eval.BuildSimple(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.h = h
-	return e, nil
-}
-
-// park frees e's engine, keeping the wiring it ran on, and parks it,
-// evicting the oldest parked engine beyond the cap. The driver is reset
-// to plain options first, so a parked engine holds none of the finished
-// job's hooks: its interrupt closure (and through it the job's context),
-// probe and checkpoint sink.
-func (e *idleEngine) park() {
-	if e.d != nil {
-		var plain host.Options
-		if e.sys != nil {
-			plain.Dev = e.sys.InjectDev()
-		}
-		if e.d.Reset(plain) != nil {
-			e.d = nil
-		}
-	}
-	e.wiring = e.h.Topology()
-	e.h.Free()
-	idleEngines.Lock()
-	defer idleEngines.Unlock()
-	if len(idleEngines.list) == maxIdleEngines {
-		idleEngines.list = slices.Delete(idleEngines.list, 0, 1)
-	}
-	idleEngines.list = append(idleEngines.list, e)
 }
 
 // newFabricResult assembles the per-cube breakdown of a fabric job.

@@ -179,13 +179,13 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestExecuteSharesBuffersAcrossJobs runs Execute from four goroutines,
-// eight jobs each, over the four Table I configurations and a 2x2 mesh
-// fabric. Every job parks its freed engine on the shared idle list, and
-// the next job with that spec takes it, with its packet buffers, on
-// whichever goroutine runs it; every digest must still equal its spec's
-// serial run. Under the race detector the test reports any holder of an
-// engine or a buffer past the job that parked it.
+// TestExecuteSharesBuffersAcrossJobs runs 32 jobs over the four Table I
+// configurations and a 2x2 mesh fabric on a 4-worker manager with the
+// cache off. Each worker keeps every job's freed engine in its own set,
+// and its next job with that spec takes it, with its packet buffers;
+// every digest must still equal its spec's serial run. Under the race
+// detector the test reports any holder of an engine or a buffer past the
+// job that kept it, and any engine two workers share.
 func TestExecuteSharesBuffersAcrossJobs(t *testing.T) {
 	const requests = 4096
 	var specs []JobSpec
@@ -202,30 +202,31 @@ func TestExecuteSharesBuffersAcrossJobs(t *testing.T) {
 		serial[i] = res
 	}
 
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for j := 0; j < 8; j++ {
-				i := (g + j) % len(specs)
-				got, err := Execute(context.Background(), specs[i])
-				if err != nil {
-					t.Errorf("goroutine %d job %d (%s): %v", g, j, specs[i].Name, err)
-					return
-				}
-				want := serial[i]
-				if got.ResultDigest != want.ResultDigest || got.StateDigest != want.StateDigest {
-					t.Errorf("goroutine %d job %d (%s): digests %s/%s, serial %s/%s", g, j, specs[i].Name,
-						got.ResultDigest, got.StateDigest, want.ResultDigest, want.StateDigest)
-				}
-				if want.Fabric != nil && (got.Fabric == nil || got.Fabric.FabricDigest != want.Fabric.FabricDigest) {
-					t.Errorf("goroutine %d job %d (%s): fabric result %+v, serial %+v", g, j, specs[i].Name, got.Fabric, want.Fabric)
-				}
-			}
-		}(g)
+	m := NewManager(ManagerConfig{Workers: 4, QueueDepth: 32})
+	defer shutdownNow(t, m)
+	ids := make([]string, 32)
+	for j := range ids {
+		st, err := m.Submit(specs[j%len(specs)])
+		if err != nil {
+			t.Fatalf("submit job %d: %v", j, err)
+		}
+		ids[j] = st.ID
 	}
-	wg.Wait()
+	for j, id := range ids {
+		spec, want := specs[j%len(specs)], serial[j%len(specs)]
+		st := waitTerminal(t, m, id)
+		if st.State != StateDone {
+			t.Fatalf("job %d (%s): %s (%s)", j, spec.Name, st.State, st.Error)
+		}
+		got := st.Result
+		if got.ResultDigest != want.ResultDigest || got.StateDigest != want.StateDigest {
+			t.Errorf("job %d (%s): digests %s/%s, serial %s/%s", j, spec.Name,
+				got.ResultDigest, got.StateDigest, want.ResultDigest, want.StateDigest)
+		}
+		if want.Fabric != nil && (got.Fabric == nil || got.Fabric.FabricDigest != want.Fabric.FabricDigest) {
+			t.Errorf("job %d (%s): fabric result %+v, serial %+v", j, spec.Name, got.Fabric, want.Fabric)
+		}
+	}
 }
 
 // blockingRun returns a runFn that parks jobs until release is closed.
@@ -532,7 +533,8 @@ func TestWorkerHintExecution(t *testing.T) {
 	run := func(spec JobSpec) (Result, []byte) {
 		t.Helper()
 		var last []byte
-		res, err := ExecuteOpts(context.Background(), spec, ExecOptions{
+		var es engineSet
+		res, err := es.execute(context.Background(), spec, ExecOptions{
 			CheckpointEvery: 8,
 			Checkpoint: func(ck *host.Checkpoint) (err error) {
 				last, err = json.Marshal(ck)
