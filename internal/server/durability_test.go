@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hmcsim/internal/core"
+	"hmcsim/internal/host"
 	"hmcsim/internal/server/api"
 	"hmcsim/internal/store"
 )
@@ -347,6 +348,104 @@ func TestCorruptCheckpointRerunsFromScratch(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsDropCheckpoints pins that every terminal edge drops the
+// job's checkpoint blob — a permanent failure, an exhausted retry budget
+// and a cancel while queued, not only done — and that replay reproduces
+// each terminal job's state, error text and attempt count.
+func TestTerminalJobsDropCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	run := func(ctx context.Context, spec JobSpec, eo ExecOptions) (Result, error) {
+		if err := eo.Checkpoint(&host.Checkpoint{Core: &core.Checkpoint{}}); err != nil {
+			return Result{}, err
+		}
+		switch spec.Name {
+		case "permanent":
+			return Result{}, errors.New("bad spec")
+		case "flaky":
+			return Result{}, Transient(errors.New("flaky"))
+		}
+		started <- spec.Name
+		select {
+		case <-release:
+			return Result{Cycles: 1, Sent: spec.Requests}, nil
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
+	}
+	cfg := ManagerConfig{
+		Workers: 1, QueueDepth: 4, Store: s,
+		MaxAttempts:    2,
+		RetryBaseDelay: time.Millisecond,
+		RetryMaxDelay:  time.Millisecond,
+		runFn:          run,
+	}
+	m := NewManager(cfg)
+	submit := func(name string) Status {
+		t.Helper()
+		st, err := m.Submit(testSpec(name, core.Table1Configs()[0], 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	perm := waitTerminal(t, m, submit("permanent").ID)
+	if perm.State != StateFailed || perm.Error != "bad spec" {
+		t.Errorf("permanent failure settled %s (%q), want failed (bad spec)", perm.State, perm.Error)
+	}
+	flaky := waitTerminal(t, m, submit("flaky").ID)
+	if want := "server: 2 attempts exhausted: flaky"; flaky.State != StateFailed || flaky.Error != want {
+		t.Errorf("exhausted budget settled %s (%q), want failed (%s)", flaky.State, flaky.Error, want)
+	}
+
+	// Cancel while queued: job-000004 waits behind the blocked worker
+	// with a checkpoint seeded for it.
+	if err := s.SaveCheckpoint("job-000004", &host.Checkpoint{Core: &core.Checkpoint{}}); err != nil {
+		t.Fatal(err)
+	}
+	blocker := submit("blocker")
+	<-started
+	queued := submit("queued")
+	if queued.ID != "job-000004" {
+		t.Fatalf("queued job is %s, want job-000004", queued.ID)
+	}
+	if _, err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	waitTerminal(t, m, blocker.ID)
+
+	pre := make(map[string]Status)
+	for _, id := range []string{perm.ID, flaky.ID, queued.ID} {
+		st, _ := m.Get(id)
+		pre[id] = st
+		if s.HasCheckpoint(id) {
+			t.Errorf("%s settled %s but kept its checkpoint", id, st.State)
+		}
+	}
+	shutdownNow(t, m)
+	s.Close()
+
+	s2 := openStore(t, dir)
+	defer s2.Close()
+	cfg.Store = s2
+	m2 := NewManager(cfg)
+	defer shutdownNow(t, m2)
+	for id, want := range pre {
+		got, err := m2.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != want.State || got.Error != want.Error || got.Attempt != want.Attempt {
+			t.Errorf("%s replayed as %s (%q, attempt %d), want %s (%q, attempt %d)",
+				id, got.State, got.Error, got.Attempt, want.State, want.Error, want.Attempt)
+		}
+	}
+}
+
 // TestRecoveringRejectsSubmissions holds recovery open with a full queue
 // and checks submissions bounce with ErrRecovering (503 + Retry-After
 // over HTTP) until the backlog is requeued.
@@ -380,10 +479,11 @@ func TestRecoveringRejectsSubmissions(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 
-	// With one worker parked and one queue slot, the third backlog job
-	// cannot requeue yet: the manager stays in recovery.
+	// NewManager readmits the whole backlog before it returns: three
+	// jobs over one queue slot, with the one worker able to take only
+	// one of them, keep the manager in recovery.
 	if !m.Recovering() {
-		t.Skip("recovery finished before the assertion; timing too tight")
+		t.Fatal("not recovering right after NewManager with a backlog past the queue bound")
 	}
 	if _, err := m.Submit(spec); !errors.Is(err, ErrRecovering) {
 		t.Errorf("submit during recovery: %v, want ErrRecovering", err)
@@ -410,8 +510,9 @@ func TestRecoveringRejectsSubmissions(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// Recovery ends once the backlog is requeued, not run: the third
-	// backlog job can still hold the one queue slot. Wait for all three.
+	// Recovery ends once the backlog fits the bound, not once it has
+	// run: the third backlog job can still hold the one queue slot. Wait
+	// for all three.
 	for i := 1; i <= 3; i++ {
 		waitTerminal(t, m, fmt.Sprintf("job-%06d", i))
 	}

@@ -79,16 +79,33 @@ func (q *fairQueue) lane(tenant string) *tenantLane {
 	return l
 }
 
-// push appends j to its tenant's lane. It reports false when the queue
-// is at capacity or closed; it never blocks. All pushes happen under the
-// manager's mutex, so a capacity check followed by a push cannot race
-// another producer past the bound.
+// push appends a new job to its tenant's lane. It reports false when the
+// queue is at capacity or closed; it never blocks. All pushes happen
+// under the manager's mutex, so a capacity check followed by a push
+// cannot race another producer past the bound.
 func (q *fairQueue) push(tenant string, j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.size >= q.capacity {
 		return false
 	}
+	q.appendLocked(tenant, j)
+	return true
+}
+
+// readmit appends a job the manager already accepted (an expired retry,
+// a promoted follower, a recovered job) to its tenant's lane. It never
+// fails: the capacity bound gates intake only, so readmitted jobs may
+// briefly hold the queue past it while push keeps refusing new work.
+func (q *fairQueue) readmit(j *job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.appendLocked(j.tenant, j)
+}
+
+// appendLocked queues j at the tail of the tenant's lane and wakes one
+// worker. Caller holds q.mu.
+func (q *fairQueue) appendLocked(tenant string, j *job) {
 	l := q.lane(tenant)
 	l.jobs = append(l.jobs, j)
 	q.size++
@@ -97,7 +114,6 @@ func (q *fairQueue) push(tenant string, j *job) bool {
 		q.ring = append(q.ring, l)
 	}
 	q.cond.Signal()
-	return true
 }
 
 // pop blocks until a job is dispatchable and returns it, charging the
@@ -142,20 +158,7 @@ func (q *fairQueue) dispatchLocked() *job {
 		l.running++
 		q.size--
 		if len(l.jobs) == 0 {
-			// An empty lane leaves the ring and forfeits saved credit —
-			// deficit must not accumulate while a tenant has nothing
-			// queued, or an idle tenant could later burst past its share.
-			l.deficit = 0
-			l.inRing = false
-			q.ring = append(q.ring[:idx], q.ring[idx+1:]...)
-			if q.cur > idx {
-				q.cur--
-			}
-			if len(q.ring) > 0 {
-				q.cur %= len(q.ring)
-			} else {
-				q.cur = 0
-			}
+			q.leaveRingLocked(idx)
 		} else if l.deficit < 1 {
 			q.cur = (idx + 1) % len(q.ring)
 		} else {
@@ -164,6 +167,25 @@ func (q *fairQueue) dispatchLocked() *job {
 		return j
 	}
 	return nil
+}
+
+// leaveRingLocked takes the emptied lane at ring index idx out of the
+// ring. It forfeits saved credit — deficit must not accumulate while a
+// tenant has nothing queued, or an idle tenant could later burst past
+// its share. Caller holds q.mu.
+func (q *fairQueue) leaveRingLocked(idx int) {
+	l := q.ring[idx]
+	l.deficit = 0
+	l.inRing = false
+	q.ring = append(q.ring[:idx], q.ring[idx+1:]...)
+	if q.cur > idx {
+		q.cur--
+	}
+	if len(q.ring) > 0 {
+		q.cur %= len(q.ring)
+	} else {
+		q.cur = 0
+	}
 }
 
 // release returns a running slot to the tenant's lane once its job
@@ -196,21 +218,11 @@ func (q *fairQueue) remove(tenant string, j *job) bool {
 		l.jobs = append(l.jobs[:i], l.jobs[i+1:]...)
 		q.size--
 		if len(l.jobs) == 0 && l.inRing {
-			l.deficit = 0
-			l.inRing = false
 			for k, rl := range q.ring {
 				if rl == l {
-					q.ring = append(q.ring[:k], q.ring[k+1:]...)
-					if q.cur > k {
-						q.cur--
-					}
+					q.leaveRingLocked(k)
 					break
 				}
-			}
-			if len(q.ring) > 0 {
-				q.cur %= len(q.ring)
-			} else {
-				q.cur = 0
 			}
 		}
 		return true
@@ -234,7 +246,8 @@ func (q *fairQueue) Len() int {
 	return q.size
 }
 
-// Cap is the queue's total capacity bound.
+// Cap is the queue's capacity bound on intake; readmitted jobs may push
+// Len past it.
 func (q *fairQueue) Cap() int { return q.capacity }
 
 // queued reports how many jobs the tenant has waiting in its lane — the

@@ -256,11 +256,26 @@ func TestFairQueueRemove(t *testing.T) {
 	if !q.push("t", &job{id: "j3", tenant: "t"}) {
 		t.Error("slot freed by remove not reusable")
 	}
-	for _, want := range []string{"j0", "j2", "j3"} {
+	// Readmission ignores the bound: an accepted job always re-enters
+	// its lane, while new work is still refused until the queue drains
+	// below capacity.
+	q.readmit(&job{id: "r0", tenant: "t"})
+	q.readmit(&job{id: "r1", tenant: "u"})
+	if q.Len() != 5 {
+		t.Errorf("Len() = %d after readmitting past capacity, want 5", q.Len())
+	}
+	if q.push("t", &job{id: "over", tenant: "t"}) {
+		t.Error("push succeeded while readmitted jobs hold the queue past capacity")
+	}
+	// Lane order: t's FIFO and u's alternate under equal weights.
+	for _, want := range []string{"j0", "r1", "j2", "j3", "r0"} {
 		j, ok := q.pop()
 		if !ok || j.id != want {
 			t.Fatalf("pop = (%v, %v), want %s", j, ok, want)
 		}
-		q.release("t")
+		q.release(j.tenant)
+	}
+	if q.Len() != 0 {
+		t.Errorf("Len() = %d after draining, want 0", q.Len())
 	}
 }

@@ -27,8 +27,9 @@ var (
 	// ErrShuttingDown rejects submissions after Shutdown has begun
 	// (503 Service Unavailable).
 	ErrShuttingDown = errors.New("server: shutting down")
-	// ErrRecovering rejects submissions while the manager is still
-	// requeueing journaled jobs after a restart (503 with Retry-After).
+	// ErrRecovering rejects submissions while the jobs recovered from the
+	// journal after a restart still hold the queue past its bound (503
+	// with Retry-After).
 	ErrRecovering = errors.New("server: recovering journal")
 	// ErrUnknownJob reports a job ID with no record (404 Not Found).
 	ErrUnknownJob = errors.New("server: unknown job")
@@ -48,8 +49,10 @@ type ManagerConfig struct {
 	// instances that run concurrently. Zero selects 4.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker;
-	// submissions beyond the bound are rejected with ErrQueueFull.
-	// Zero selects 64.
+	// submissions beyond the bound are rejected with ErrQueueFull. The
+	// bound gates intake only: jobs already accepted (expired retries,
+	// promoted followers, the recovered backlog) always re-enter the
+	// queue, so it may briefly hold more. Zero selects 64.
 	QueueDepth int
 	// DefaultTimeout bounds a job's wall-clock runtime when its spec
 	// does not name one. Zero selects 5 minutes.
@@ -147,7 +150,6 @@ type Manager struct {
 	seq        int
 	closed     bool
 	recovering bool
-	wg         sync.WaitGroup
 
 	// fq is the multi-tenant dispatch queue between Submit and the
 	// worker pool: per-tenant FIFO lanes drained by deficit round-robin
@@ -162,10 +164,10 @@ type Manager struct {
 	tenantKeys map[string]string
 
 	// retryTimers tracks the pending backoff timer of every job waiting
-	// between attempts, keyed by job ID (at most one per job). Shutdown
-	// stops them and settles the affected jobs instead of leaving them
-	// parked forever with a timer that fires into a closed manager.
-	// Guarded by mu.
+	// between attempts, keyed by job ID (at most one per job). A job is
+	// parked exactly while it has an entry here. Shutdown ends every
+	// backoff early instead of leaving jobs parked behind timers that
+	// fire into a closed manager. Guarded by mu.
 	retryTimers map[string]*time.Timer
 	// retryParked counts, per tenant, the jobs currently parked on a
 	// retry-backoff timer. Parked jobs occupy no fair-queue lane slot but
@@ -176,10 +178,10 @@ type Manager struct {
 	retryParked map[string]int
 
 	// workersDone closes once the worker pool has fully exited during
-	// Shutdown; SSE streams select on it so a drain that cannot finish a
-	// followed job (store-backed suspend) still terminates its streams.
+	// Shutdown; Shutdown waits on it, and SSE streams select on it so a
+	// drain that cannot finish a followed job (store-backed suspend)
+	// still terminates its streams.
 	workersDone chan struct{}
-	workersOnce sync.Once
 
 	// Content-addressed result cache and singleflight table (DESIGN.md
 	// §15). cache is always non-nil (a zero budget stores nothing);
@@ -254,9 +256,9 @@ var fabricLatBuckets = []float64{
 
 // NewManager starts a manager and its worker pool. With a store
 // configured, the journal is replayed before the pool starts: finished
-// jobs reappear with their results, interrupted jobs requeue (the
-// manager reports Recovering, and rejects submissions with
-// ErrRecovering, until every one is back in the queue).
+// jobs reappear with their results, interrupted jobs are readmitted to
+// the queue (the manager reports Recovering, and rejects submissions
+// with ErrRecovering, until that backlog first fits the queue bound).
 func NewManager(cfg ManagerConfig) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -292,18 +294,22 @@ func NewManager(cfg ManagerConfig) *Manager {
 		}
 	}
 	m.initMetrics()
-	var pending []*job
 	if m.store != nil {
-		pending = m.recoverFromJournal()
+		m.recoverFromJournal()
 	}
-	if len(pending) > 0 {
-		m.recovering = true
-		go m.requeueRecovered(pending)
-	}
-	m.wg.Add(cfg.Workers)
+	m.recovering = m.fq.Len() > m.fq.Cap()
+	var wg sync.WaitGroup
+	wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go m.worker()
+		go func() {
+			defer wg.Done()
+			m.worker()
+		}()
 	}
+	go func() {
+		wg.Wait()
+		close(m.workersDone)
+	}()
 	return m
 }
 
@@ -452,7 +458,7 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 	if m.closed {
 		return Status{}, false, ErrShuttingDown
 	}
-	if m.recovering {
+	if m.recoveringLocked() {
 		return Status{}, false, ErrRecovering
 	}
 	if spec.IdempotencyKey != "" {
@@ -534,25 +540,14 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 	switch {
 	case cachedRes != nil:
 		// Cache hit: the job is born done, carrying a provenance-stamped
-		// copy of the shared cached result. Persist the copy before
-		// journaling done so replay finds a loadable blob; if either
-		// write fails the journal stays conservative and the job reruns
-		// after a restart.
+		// copy of the shared cached result.
 		r := *cachedRes
 		r.SpecKey = key.String()
 		r.Cache = api.CacheHit
-		j.state.phase = StateDone
-		j.state.result = &r
-		j.state.finished = time.Now()
-		if m.store != nil {
-			if serr := m.store.SaveResult(j.id, &r); serr == nil {
-				m.journal(store.Record{Type: store.RecDone, Job: j.id, SpecKey: r.SpecKey, Cache: r.Cache})
-			}
-		}
-		m.completed.Add(1)
+		m.finishLocked(j, StateDone, &r, nil)
 	case leader != nil:
-		// Singleflight: attach to the running leader; settle delivers
-		// the shared result to every live follower.
+		// Singleflight: attach to the running leader; its settle
+		// delivers the shared result to every live follower.
 		j.leader = leader
 		leader.followers = append(leader.followers, j)
 	default:
@@ -705,23 +700,13 @@ func (m *Manager) cancel(id string, owner *string) (Status, error) {
 	switch j.state.phase {
 	case StateQueued:
 		j.cancelled = true
-		j.state.phase = StateCancelled
-		j.state.finished = time.Now()
-		m.cancelledN.Add(1)
-		m.journal(store.Record{Type: store.RecCancelled, Job: j.id})
 		// Free the queue slot (and the tenant's quota headroom) now
 		// instead of when a worker pops and discards the husk. Retry-
 		// parked and follower jobs are not in the queue; remove is a no-op
 		// for them. A pending backoff timer is stopped the same way.
 		m.fq.remove(j.tenant, j)
-		if t, ok := m.retryTimers[j.id]; ok {
-			t.Stop()
-			m.unparkRetryLocked(j)
-		}
-		// A cancelled queued leader hands its followers to a promoted
-		// one; a cancelled follower just drops out of its leader's
-		// delivery list (the phase check there skips it).
-		m.detachLocked(j)
+		m.unparkRetryLocked(j)
+		m.finishLocked(j, StateCancelled, nil, nil)
 	case StateRunning:
 		j.cancelled = true
 		if j.state.cancel != nil {
@@ -752,7 +737,6 @@ func (m *Manager) journal(rec store.Record) {
 // quota and eventually starve. The worker owns the engines it keeps
 // between jobs: es is never shared with another goroutine.
 func (m *Manager) worker() {
-	defer m.wg.Done()
 	var es engineSet
 	for {
 		j, ok := m.fq.pop()
@@ -868,6 +852,7 @@ func (m *Manager) settle(j *job, res Result, err error) {
 		j.state.started = time.Time{}
 		return
 	}
+	m.service.Observe(time.Since(j.state.started).Seconds())
 
 	if err == nil && j.verify {
 		// Sampled re-execution of a cache hit: the determinism contract
@@ -881,29 +866,8 @@ func (m *Manager) settle(j *job, res Result, err error) {
 		}
 	}
 
-	j.state.finished = time.Now()
-	m.service.Observe(j.state.finished.Sub(j.state.started).Seconds())
 	switch {
 	case err == nil:
-		if !j.specKey.IsZero() {
-			res.SpecKey = j.specKey.String()
-			if j.verify {
-				res.Cache = api.CacheVerified
-			}
-		}
-		// Persist the result before journaling done: a replayed done
-		// record implies a loadable result blob. The done record carries
-		// the spec key so replay rebuilds the cache index without
-		// re-hashing specs.
-		if m.store != nil {
-			if serr := m.store.SaveResult(j.id, &res); serr == nil {
-				m.journal(store.Record{Type: store.RecDone, Job: j.id, SpecKey: res.SpecKey, Cache: res.Cache})
-			}
-			m.store.RemoveCheckpoint(j.id)
-		}
-		j.state.phase = StateDone
-		j.state.result = &res
-		m.completed.Add(1)
 		m.cycles.Add(res.Cycles)
 		m.requests.Add(res.Sent)
 		m.idleSkipped.Add(res.IdleCyclesSkipped)
@@ -916,23 +880,22 @@ func (m *Manager) settle(j *job, res Result, err error) {
 			}
 		}
 		if !j.specKey.IsZero() {
+			res.SpecKey = j.specKey.String()
+			if j.verify {
+				res.Cache = api.CacheVerified
+			}
 			// Cache a pristine copy — provenance fields describe one
-			// completion, not the content — then serve every follower.
+			// completion, not the content.
 			cp := res
 			cp.Cache = ""
 			m.cacheEvict.Add(uint64(m.cache.Put(j.specKey, &cp, 0)))
-			m.deliverFollowersLocked(j, &res)
-			m.detachLocked(j)
 		}
-	case j.cancelled && errors.Is(err, context.Canceled):
-		j.state.phase = StateCancelled
-		j.state.err = err
-		m.cancelledN.Add(1)
-		m.journal(store.Record{Type: store.RecCancelled, Job: j.id})
-		if m.store != nil {
-			m.store.RemoveCheckpoint(j.id)
-		}
-		m.detachLocked(j)
+		m.finishLocked(j, StateDone, &res, nil)
+	case j.cancelled:
+		// Cancellation was requested and the attempt did not succeed,
+		// whatever it failed with: requeueing a cancelled job would
+		// strand it, since no queue path runs a cancelled job again.
+		m.finishLocked(j, StateCancelled, nil, err)
 	case errors.Is(err, ErrBadCheckpoint):
 		// The persisted checkpoint would not restore. Drop it and retry
 		// from cycle zero; the attempt still counts.
@@ -945,29 +908,61 @@ func (m *Manager) settle(j *job, res Result, err error) {
 	default:
 		// Timeouts, simulation errors and shutdown-forced aborts all
 		// fail the job — never the process.
-		j.state.phase = StateFailed
-		j.state.err = err
-		m.failed.Add(1)
-		m.journal(store.Record{
-			Type: store.RecFailed, Job: j.id,
-			Attempt: j.attempt, Error: err.Error(),
-		})
-		m.detachLocked(j)
+		m.finishLocked(j, StateFailed, nil, err)
 	}
 }
 
-// requeueLocked schedules another attempt of a transiently failed job,
-// or fails it when the attempt budget is spent. Caller holds m.mu.
+// finishLocked is the only writer of a terminal phase. It stamps
+// finished and counts the job once: a coalesced follower under
+// coalesced_jobs, not jobs_completed, so the reconciliation invariant
+// submitted = completed + failed + cancelled + coalesced holds. A done
+// job's result is persisted before done is journaled, so a replayed done
+// record implies a loadable blob (the record carries the spec key, so
+// replay rebuilds the cache index without re-hashing specs); if either
+// write fails the journal stays conservative and the job reruns after a
+// restart. A failure is journaled with the error text its status shows.
+// Any checkpoint is dropped, and the job's singleflight group is
+// settled. Caller holds m.mu.
+func (m *Manager) finishLocked(j *job, phase State, res *Result, err error) {
+	j.state.phase = phase
+	j.state.result = res
+	j.state.err = err
+	j.state.finished = time.Now()
+	switch {
+	case phase == StateDone && res.Cache == api.CacheCoalesced:
+		m.coalesced.Add(1)
+	case phase == StateDone:
+		m.completed.Add(1)
+	case phase == StateFailed:
+		m.failed.Add(1)
+	default:
+		m.cancelledN.Add(1)
+	}
+	if m.store != nil {
+		switch phase {
+		case StateDone:
+			if serr := m.store.SaveResult(j.id, res); serr == nil {
+				m.journal(store.Record{Type: store.RecDone, Job: j.id, SpecKey: res.SpecKey, Cache: res.Cache})
+			}
+		case StateFailed:
+			m.journal(store.Record{Type: store.RecFailed, Job: j.id, Attempt: j.attempt, Error: err.Error()})
+		default:
+			m.journal(store.Record{Type: store.RecCancelled, Job: j.id})
+		}
+		m.store.RemoveCheckpoint(j.id)
+	}
+	m.detachLocked(j)
+}
+
+// requeueLocked is the only edge from running back to queued on a
+// transient failure: it parks the job behind its backoff timer, or fails
+// it when the attempt budget is spent. Parking clears the failed
+// attempt's start stamp and charges the job to its tenant's
+// retry-parked count, so the MaxQueued quota keeps seeing it while it
+// holds no lane slot. Caller holds m.mu.
 func (m *Manager) requeueLocked(j *job, cause error) {
 	if j.attempt >= m.cfg.MaxAttempts {
-		j.state.phase = StateFailed
-		j.state.err = fmt.Errorf("server: %d attempts exhausted: %w", j.attempt, cause)
-		m.failed.Add(1)
-		m.journal(store.Record{
-			Type: store.RecFailed, Job: j.id,
-			Attempt: j.attempt, Error: cause.Error(),
-		})
-		m.detachLocked(j)
+		m.finishLocked(j, StateFailed, nil, fmt.Errorf("server: %d attempts exhausted: %w", j.attempt, cause))
 		return
 	}
 	m.journal(store.Record{
@@ -975,110 +970,73 @@ func (m *Manager) requeueLocked(j *job, cause error) {
 		Attempt: j.attempt, Error: cause.Error(), Transient: true,
 	})
 	j.state.phase = StateQueued
+	j.state.started = time.Time{}
 	j.state.err = cause
 	m.retries.Add(1)
+	m.retryParked[j.tenant]++
 	delay := retryDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, j.attempt, j.id)
-	m.armRetryLocked(j, delay)
+	m.retryTimers[j.id] = time.AfterFunc(delay, func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.retryExpiredLocked(j)
+	})
 }
 
-// armRetryLocked arms (and tracks) the backoff timer that will requeue
-// j after delay. Tracking the timer is what lets Shutdown stop it and
-// settle the job: an untracked timer would fire into a drained manager
-// and silently re-arm itself forever, leaking a goroutine timer cycle
-// per abandoned retry and leaving the job parked in StateQueued with no
-// worker ever coming back for it. At most one timer exists per job.
-// Arming also charges the job to its tenant's retry-parked count so the
-// MaxQueued quota keeps seeing it while it holds no lane slot.
+// unparkRetryLocked stops and forgets j's backoff timer and refunds its
+// slot in the tenant's retry-parked count, reporting whether j was
+// parked. Idempotent: a job no longer parked refunds nothing, so a fired
+// timer racing a Cancel or Shutdown cannot double-refund the quota.
 // Caller holds m.mu.
-func (m *Manager) armRetryLocked(j *job, delay time.Duration) {
-	if _, ok := m.retryTimers[j.id]; !ok {
-		m.retryParked[j.tenant]++
+func (m *Manager) unparkRetryLocked(j *job) bool {
+	t, ok := m.retryTimers[j.id]
+	if !ok {
+		return false
 	}
-	m.retryTimers[j.id] = time.AfterFunc(delay, func() { m.enqueueRetry(j, delay) })
-}
-
-// unparkRetryLocked forgets j's pending backoff timer (already stopped
-// or fired) and refunds its slot in the tenant's retry-parked count.
-// Idempotent: a timer entry already removed decrements nothing, so a
-// fired timer racing a Cancel or Shutdown cannot double-refund the
-// quota. Caller holds m.mu.
-func (m *Manager) unparkRetryLocked(j *job) {
-	if _, ok := m.retryTimers[j.id]; !ok {
-		return
-	}
+	t.Stop()
 	delete(m.retryTimers, j.id)
-	if m.retryParked[j.tenant] > 0 {
-		m.retryParked[j.tenant]--
+	m.retryParked[j.tenant]--
+	return true
+}
+
+// retryExpiredLocked ends j's backoff: its own timer calls it, and
+// Shutdown calls it early for every parked job. Whichever comes second
+// finds the job unparked (as does a timer that lost to Cancel) and does
+// nothing. Caller holds m.mu.
+func (m *Manager) retryExpiredLocked(j *job) {
+	if m.unparkRetryLocked(j) && !m.readmitLocked(j) && m.store == nil {
+		m.finishLocked(j, StateFailed, nil, fmt.Errorf("%w: retry abandoned", ErrShuttingDown))
 	}
 }
 
-// enqueueRetry puts a backoff-expired job back on the queue. A full
-// queue pushes the retry out by another delay; a closed manager leaves
-// the job journaled for the next process (store-backed) or fails it.
-func (m *Manager) enqueueRetry(j *job, delay time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.unparkRetryLocked(j) // this timer has fired; it no longer needs stopping
-	if j.state.phase != StateQueued || j.cancelled {
-		return // cancelled while waiting for backoff
-	}
+// readmitLocked is the one path back into the fair queue for a job the
+// manager already accepted: an expired retry, a promoted follower or a
+// journal-recovered job. The queue's bound gates intake only, so
+// readmission never fails or waits. It reports false once Shutdown has
+// begun: the pool is draining, so the caller fails the job when nothing
+// persists it, and a store-backed job stays non-terminal in the journal
+// for the next process. Caller holds m.mu.
+func (m *Manager) readmitLocked(j *job) bool {
 	if m.closed {
-		if m.store == nil {
-			j.state.phase = StateFailed
-			j.state.err = fmt.Errorf("%w: retry abandoned", ErrShuttingDown)
-			j.state.finished = time.Now()
-			m.failed.Add(1)
-			m.detachLocked(j)
-		}
-		// With a store the job stays non-terminal in the journal and is
-		// requeued by the next process.
-		return
+		return false
 	}
-	if !m.fq.push(j.tenant, j) {
-		m.armRetryLocked(j, delay)
-	}
+	m.fq.readmit(j)
+	return true
 }
 
-// deliverFollowersLocked completes every live follower of j with its own
-// provenance-stamped copy of the leader's result. Followers never touch
-// the cycles/requests counters — no simulation ran for them — and count
-// under coalesced_jobs, not jobs_completed, so the reconciliation
-// invariant submitted = completed + failed + cancelled + coalesced
-// holds. Caller holds m.mu; res is already SpecKey-annotated.
-func (m *Manager) deliverFollowersLocked(j *job, res *Result) {
-	for _, f := range j.followers {
-		if f.state.phase != StateQueued || f.cancelled {
-			continue // cancelled while attached; Cancel settled it
-		}
-		fr := *res
-		fr.Cache = api.CacheCoalesced
-		f.state.phase = StateDone
-		f.state.result = &fr
-		f.state.finished = time.Now()
-		f.leader = nil
-		m.coalesced.Add(1)
-		if m.store != nil {
-			if serr := m.store.SaveResult(f.id, &fr); serr == nil {
-				m.journal(store.Record{Type: store.RecDone, Job: f.id, SpecKey: fr.SpecKey, Cache: fr.Cache})
-			}
-		}
-	}
-	j.followers = nil
-}
-
-// detachLocked removes j from the singleflight table when it settles in
-// a terminal state. A leader that failed or was cancelled hands its
-// surviving followers to the first of them, which is promoted to a real
-// queued job (re-journaled state is unnecessary — every follower was
-// journaled at submission) — coalescing never strands a submission
-// behind a leader that produced no result. Caller holds m.mu.
+// detachLocked settles j's singleflight group once j is terminal. A
+// follower just drops out of its leader's group. A done leader serves
+// each live follower its own provenance-stamped copy of the result; no
+// simulation ran for them, so the per-run counters stay untouched. A
+// leader that failed or was cancelled promotes its first live follower
+// to a real queued job heading the rest (it needs no new journal record:
+// every follower was journaled at submission), so coalescing never
+// strands a submission behind a leader that produced no result. Caller
+// holds m.mu.
 func (m *Manager) detachLocked(j *job) {
 	if j.specKey.IsZero() {
 		return
 	}
 	if j.leader != nil {
-		// j was a follower; it just drops out of the leader's delivery
-		// list (the phase check there skips settled jobs).
 		j.leader = nil
 		return
 	}
@@ -1086,49 +1044,35 @@ func (m *Manager) detachLocked(j *job) {
 		return
 	}
 	delete(m.inflight, j.specKey)
-	var next *job
-	var rest []*job
+	var live []*job
 	for _, f := range j.followers {
-		if f.state.phase != StateQueued || f.cancelled {
-			continue
-		}
-		if next == nil {
-			next = f
-		} else {
-			rest = append(rest, f)
+		if f.state.phase == StateQueued && !f.cancelled {
+			live = append(live, f)
 		}
 	}
 	j.followers = nil
-	if next == nil {
+	if len(live) == 0 {
 		return
 	}
-	if m.closed {
-		if m.store == nil {
-			// The pool is draining and nothing persists these jobs:
-			// fail them rather than strand them forever-queued.
-			for _, f := range append([]*job{next}, rest...) {
-				f.leader = nil
-				f.state.phase = StateFailed
-				f.state.err = fmt.Errorf("%w: coalesced leader did not complete", ErrShuttingDown)
-				f.state.finished = time.Now()
-				m.failed.Add(1)
-			}
+	if j.state.phase == StateDone {
+		for _, f := range live {
+			fr := *j.state.result
+			fr.Cache = api.CacheCoalesced
+			m.finishLocked(f, StateDone, &fr, nil)
 		}
-		// Store-backed drain: they stay non-terminal in the journal and
-		// requeue as independent jobs under the next process.
 		return
 	}
+	next, rest := live[0], live[1:]
 	next.leader = nil
 	next.followers = rest
 	for _, f := range rest {
 		f.leader = next
 	}
 	m.inflight[j.specKey] = next
-	if !m.fq.push(next.tenant, next) {
-		// Queue momentarily full; retry shortly off-lock, like a
-		// backoff-expired retry would. The timer is tracked so Shutdown
-		// can settle the promoted follower too.
-		m.armRetryLocked(next, 10*time.Millisecond)
+	if !m.readmitLocked(next) && m.store == nil {
+		// Failing next settles its own group in turn, so every follower
+		// fails with the same error, one promotion at a time.
+		m.finishLocked(next, StateFailed, nil, fmt.Errorf("%w: coalesced leader did not complete", ErrShuttingDown))
 	}
 }
 
@@ -1163,51 +1107,24 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		if m.store != nil {
 			m.suspend.Store(true)
 		}
-		// Stop every pending backoff timer and settle its job now. A
-		// timer we beat to the punch (Stop reports true) will never fire,
-		// so without this its job would stay parked in StateQueued
-		// forever; one that already fired runs enqueueRetry, which
-		// observes m.closed and settles the job itself.
-		for id, t := range m.retryTimers {
-			if !t.Stop() {
-				continue
-			}
-			j := m.jobs[id]
-			if j == nil {
-				delete(m.retryTimers, id)
-				continue
-			}
-			m.unparkRetryLocked(j)
-			if j.state.phase != StateQueued || j.cancelled {
-				continue
-			}
-			if m.store == nil {
-				j.state.phase = StateFailed
-				j.state.err = fmt.Errorf("%w: retry abandoned", ErrShuttingDown)
-				j.state.finished = time.Now()
-				m.failed.Add(1)
-				m.detachLocked(j)
-			}
-			// Store-backed: the job stays journaled non-terminal and
-			// requeues under the next process, like any suspended job.
+		// End every pending backoff now: without a store the parked job
+		// fails (retry abandoned) instead of waiting on a timer that would
+		// fire into a drained manager; with one it stays journaled
+		// non-terminal and requeues under the next process, like any
+		// suspended job.
+		for id := range m.retryTimers {
+			m.retryExpiredLocked(m.jobs[id])
 		}
 		m.fq.close()
 	}
 	m.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
-		m.workersOnce.Do(func() { close(m.workersDone) })
+	case <-m.workersDone:
 		return nil
 	case <-ctx.Done():
 		m.baseCancel()
-		<-done
-		m.workersOnce.Do(func() { close(m.workersDone) })
+		<-m.workersDone
 		return ctx.Err()
 	}
 }
@@ -1227,11 +1144,21 @@ func (m *Manager) TenantForKey(key string) (string, bool) {
 	return name, ok
 }
 
-// Recovering reports whether journal replay is still requeueing
-// interrupted jobs; submissions are rejected with ErrRecovering until it
-// finishes.
+// Recovering reports whether the jobs recovered from the journal still
+// hold the queue past its bound; submissions are rejected with
+// ErrRecovering until then.
 func (m *Manager) Recovering() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.recoveringLocked()
+}
+
+// recoveringLocked clears the recovering flag, for good, the first time
+// the recovered backlog is seen to fit the queue bound, and reports the
+// flag. Caller holds m.mu.
+func (m *Manager) recoveringLocked() bool {
+	if m.recovering && m.fq.Len() <= m.fq.Cap() {
+		m.recovering = false
+	}
 	return m.recovering
 }

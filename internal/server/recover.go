@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"hmcsim/internal/ckey"
 	"hmcsim/internal/server/cache"
@@ -13,8 +12,10 @@ import (
 
 // recoverFromJournal rebuilds the job table from the store's replayed
 // journal. It runs synchronously inside NewManager, before the worker
-// pool starts, so the rebuilt table is complete before any request or
-// worker can observe it. The reduction over the record stream is:
+// pool starts, so the rebuilt table and queue are complete before any
+// request or worker can observe them (which is also why it may call the
+// Locked helpers without taking m.mu). The reduction over the record
+// stream is:
 //
 //	submitted            -> the job exists, queued
 //	started              -> attempt counter advances
@@ -25,11 +26,11 @@ import (
 //	cancelled            -> terminal
 //
 // Any job that finishes the reduction still queued was interrupted by
-// the crash (or journaled as retryable) and is returned for requeueing.
-// A done record whose result blob will not load degrades to queued: the
-// job reruns, which is safe because execution is deterministic.
-func (m *Manager) recoverFromJournal() []*job {
-	var pending []*job
+// the crash (or journaled as retryable) and is readmitted to the queue
+// in its original submission order. A done record whose result blob
+// will not load degrades to queued: the job reruns, which is safe
+// because execution is deterministic.
+func (m *Manager) recoverFromJournal() {
 	for _, rec := range m.store.Records() {
 		j := m.jobs[rec.Job]
 		if rec.Type != store.RecSubmitted && j == nil {
@@ -109,36 +110,8 @@ func (m *Manager) recoverFromJournal() []*job {
 			if m.cfg.CacheBytes > 0 && j.specKey.IsZero() {
 				j.specKey = cache.JobKey(j.spec)
 			}
-			pending = append(pending, j)
+			m.readmitLocked(j)
+			m.recovered.Add(1)
 		}
 	}
-	return pending
-}
-
-// requeueRecovered feeds the crash-interrupted jobs back into the queue
-// in their original submission order, then clears the recovering flag.
-// It runs concurrently with the worker pool — the queue may be smaller
-// than the backlog, so workers must be draining it while this fills it —
-// and holds the lock only per enqueue attempt so status reads stay
-// responsive during recovery.
-func (m *Manager) requeueRecovered(pending []*job) {
-	for _, j := range pending {
-		for {
-			m.mu.Lock()
-			if m.closed || j.cancelled || j.state.phase != StateQueued {
-				m.mu.Unlock()
-				break
-			}
-			if m.fq.push(j.tenant, j) {
-				m.recovered.Add(1)
-				m.mu.Unlock()
-				break
-			}
-			m.mu.Unlock()
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	m.mu.Lock()
-	m.recovering = false
-	m.mu.Unlock()
 }

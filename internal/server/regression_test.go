@@ -58,6 +58,11 @@ func TestShutdownSettlesPendingRetry(t *testing.T) {
 	if timers != 1 {
 		t.Fatalf("%d tracked retry timers, want 1", timers)
 	}
+	// A parked job is queued again: it keeps neither its failed
+	// attempt's start nor a finish stamp.
+	if parked, _ := m.Get(st.ID); parked.Started != nil || parked.Finished != nil {
+		t.Errorf("parked job has started=%v finished=%v, want both unset", parked.Started, parked.Finished)
+	}
 
 	// Shutdown must settle the parked job, not leave it queued behind a
 	// timer that will fire into a dead manager an hour from now.
@@ -81,6 +86,40 @@ func TestShutdownSettlesPendingRetry(t *testing.T) {
 	m.mu.Unlock()
 	if timers != 0 {
 		t.Errorf("%d retry timers still tracked after shutdown", timers)
+	}
+}
+
+// TestCancelledAttemptFailingTransientlySettles is the regression test
+// for a stranded job: a running job cancelled just as its attempt failed
+// transiently, before it saw its context, was parked for a retry with
+// its cancel flag set, and every later path skipped it, so it stayed
+// queued forever. A cancel-requested attempt that does not succeed now
+// settles cancelled.
+func TestCancelledAttemptFailingTransientlySettles(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	m := NewManager(ManagerConfig{
+		Workers: 1, QueueDepth: 4,
+		RetryBaseDelay: time.Millisecond,
+		RetryMaxDelay:  time.Millisecond,
+		runFn: func(ctx context.Context, spec JobSpec, _ ExecOptions) (Result, error) {
+			started <- spec.Name
+			<-release // ignores ctx, like an engine between two interrupt polls
+			return Result{}, Transient(errors.New("flaky backend"))
+		},
+	})
+	defer shutdownNow(t, m)
+	st, err := m.Submit(testSpec("raced", core.Table1Configs()[0], 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if fin := waitTerminal(t, m, st.ID); fin.State != StateCancelled {
+		t.Fatalf("cancelled job settled %s (%s), want cancelled", fin.State, fin.Error)
 	}
 }
 
