@@ -6,7 +6,10 @@
 //
 // Verified invariants:
 //
-//   - every queued packet is structurally valid, including its CRC
+//   - every queued packet is structurally valid, including its CRC: a
+//     packet whose CRC is still pending (built in place, words never
+//     read) is stamped from its words here and valid by construction; a
+//     stamped packet rewritten in place without Finalize fails
 //   - queue occupancy never exceeds the configured depth
 //   - crossbar/vault request queues hold only request packets, response
 //     queues only response packets

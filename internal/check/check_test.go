@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -125,6 +126,39 @@ func TestVerifyDetectsCorruptedPacket(t *testing.T) {
 	slot.Packet.Words()[0] ^= 1 << 40
 	if err := Verify(h); err == nil {
 		t.Error("corrupted packet not detected")
+	}
+}
+
+// TestVerifyCatchesUnfinalizedMutation holds the audit to the stamp
+// contract: a queued packet whose CRC has been stamped — by its builder,
+// or by the first read of its words when the engine built it in place —
+// and whose field is then rewritten without Finalize fails Verify.
+func TestVerifyCatchesUnfinalizedMutation(t *testing.T) {
+	h := newSimple(t)
+	p, err := packet.BuildRequest(packet.Request{CUB: 0, Addr: 0x40, Tag: 1, Cmd: packet.CmdRD16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Device(0).Links[0].RqstQ.Push(&p, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Built in place by the engine, CRC pending until Verify reads it.
+	if err := h.SendRequest(0, 1, packet.Request{Addr: 0x80, Tag: 2, Cmd: packet.CmdRD16}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(h); err != nil {
+		t.Fatalf("clean queues flagged: %v", err)
+	}
+	for _, l := range []int{0, 1} {
+		q := h.Device(0).Links[l].RqstQ
+		q.At(0).Packet.SetCUB(1)
+		if err := Verify(h); !errors.Is(err, packet.ErrBadCRC) {
+			t.Errorf("link %d: CUB rewritten without Finalize: Verify = %v, want ErrBadCRC", l, err)
+		}
+		q.At(0).Packet.Finalize()
+		if err := Verify(h); err != nil {
+			t.Fatalf("link %d: after Finalize: %v", l, err)
+		}
 	}
 }
 

@@ -65,8 +65,8 @@ func (h *HMC) nextSeq(link int) uint8 {
 // SendRequest builds and submits a request in one step, the
 // allocation-free fast path of the BuildRequestPacket + Send pair: the
 // per-link sequence number is drawn, the packet is encoded directly into
-// a pooled buffer (one CRC computation instead of three) and enqueued on
-// the crossbar. Semantics match Send: ErrStall on back-pressure,
+// a pooled buffer (its CRC left to the first read of its words, which a
+// request serviced and answered never has) and enqueued on the crossbar. Semantics match Send: ErrStall on back-pressure,
 // ErrLinkFailed when the transfer trips a hard link failure. Flow packets
 // are not accepted; use Send for those.
 func (h *HMC) SendRequest(dev, link int, req packet.Request) error {

@@ -132,8 +132,10 @@ func checkpointQueue(q *queue.Queue) []SlotCheckpoint {
 }
 
 // Checkpoint captures the full architectural state. It must be called
-// between clock cycles; the capture is read-only and does not perturb
-// the simulation (the next cycle proceeds exactly as without it).
+// between clock cycles. The capture writes only the CRCs still pending
+// on queued packets (packet.Packet.Words), which no reader of the words
+// can tell apart from an eager stamp, and does not perturb the
+// simulation (the next cycle proceeds exactly as without it).
 func (h *HMC) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Snap:  h.Snapshot(),

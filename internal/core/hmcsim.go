@@ -90,6 +90,15 @@ type HMC struct {
 	// set while the queue is non-empty, kept by the queues themselves and
 	// read by every per-cycle walk. See occupancy.go.
 	occ []devOcc
+	// win holds, per (device, vault) in device-major order, the FIFO
+	// positions of the requests that won the cycle's bank arbitration,
+	// in window order: the conflict pass writes them, the vault pass
+	// services exactly those. Vault u's list starts at win[u*winCap] and
+	// holds winN[u] entries. Like occ it is allocated once in New and
+	// never checkpointed or digested; it lives for one Clock call.
+	win    []int32
+	winN   []int32
+	winCap int
 
 	// rdbuf is the scratch buffer for bank read data en route to a
 	// response packet (serviceVaultRequest).

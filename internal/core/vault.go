@@ -16,7 +16,10 @@ import (
 // order. Neither pass does anything observable on an empty queue, the
 // refresh mask included: it only shows through deferred packets. The
 // passes are not fused per device: every conflict event of the cycle is
-// traced before any vault event.
+// traced before any vault event. The conflict pass hands the vault pass
+// its arbitration winners through HMC.win, so the vault pass visits the
+// winners only; nothing between the two passes pushes to or pops from a
+// vault request queue, so the positions stay valid.
 func (h *HMC) vaultStages() {
 	for i, d := range h.devs {
 		o := &h.occ[i]
@@ -46,13 +49,17 @@ func (h *HMC) window(q *queue.Queue) int {
 // and determining whether conflicting packets exist within a spatial
 // window of the queue. The pass modifies no data representations; losers
 // of bank arbitration are deferred for this cycle and a trace message
-// records the physical locality and clock value of the conflict.
+// records the physical locality and clock value of the conflict. The
+// winners' FIFO positions go to the vault's winner list, in window order.
 func (h *HMC) conflictVault(d *device.Device, vi int) {
 	v := &d.Vaults[vi]
 	q := v.RqstQ
 	n := h.window(q)
 	refreshing := h.refreshMask(d, vi)
 	claimed := refreshing
+	u := d.ID*h.cfg.NumVaults + vi
+	win := h.win[u*h.winCap : (u+1)*h.winCap]
+	won := 0
 	for i := 0; i < n; i++ {
 		s := q.At(i)
 		p := s.Packet
@@ -85,31 +92,32 @@ func (h *HMC) conflictVault(d *device.Device, vi int) {
 			continue
 		}
 		claimed |= bit
+		win[won] = int32(i)
+		won++
 	}
+	h.winN[u] = int32(won)
 }
 
-// vaultOne traverses one vault request queue in FIFO order and processes
-// every request packet that survived bank-conflict arbitration: write
-// packets, read packets and atomic (read-modify-write) packets. All
-// packets are processed in equivalent and constant time as long as their
-// bank addressing does not conflict. Responses are registered in the
-// vault response queue.
+// vaultOne processes, in FIFO order, every request packet of one vault
+// request queue that survived bank-conflict arbitration — the vault's
+// winner list, so deferred packets are never visited: write packets, read
+// packets and atomic (read-modify-write) packets. All packets are
+// processed in equivalent and constant time as long as their bank
+// addressing does not conflict. Responses are registered in the vault
+// response queue.
 func (h *HMC) vaultOne(d *device.Device, vi int) {
 	v := &d.Vaults[vi]
 	q := v.RqstQ
-	n := h.window(q)
+	u := d.ID*h.cfg.NumVaults + vi
 	// Serviced slots are retired in place and squeezed out by one
 	// order-preserving compaction after the walk, so a cycle costs the
-	// window once however many packets leave from behind deferred ones.
+	// winners once however many packets leave from behind deferred ones.
 	// retired is the FIFO position just past the last retired slot: bank
 	// arbitration favours the front of the queue, so the compaction
 	// usually has only a prefix of the window to visit.
 	retired := 0
-	for i := 0; i < n; i++ {
-		s := q.At(i)
-		if s.Deferred {
-			continue
-		}
+	for _, i := range h.win[u*h.winCap : u*h.winCap+int(h.winN[u])] {
+		s := q.At(int(i))
 		p := s.Packet
 		cmd := p.Cmd()
 		if !cmd.IsPosted() && v.RspQ.Full() {
@@ -128,7 +136,7 @@ func (h *HMC) vaultOne(d *device.Device, vi int) {
 		}
 		moved := h.serviceVaultRequest(d, v, vi, p)
 		*s = queue.Slot{}
-		retired = i + 1
+		retired = int(i) + 1
 		if !moved {
 			// Posted request (or the buffer was otherwise consumed): the
 			// packet leaves the simulation here.

@@ -142,6 +142,50 @@ const (
 	saturatedResult = uint64(0xc8b2dfce521d94c0)
 )
 
+// TestVaultPassDeepQueue runs a vault request queue deeper than a byte
+// can index, saturated, with the whole queue as the arbitration window:
+// bank arbitration and service must reach winners at FIFO positions past
+// 255. At 128 banks, half of them past the 64-bit claim mask, a vault
+// can have more winners than banks. It audits the structure after every clock and
+// pins the digests of the revision that walked the window twice per
+// cycle.
+func TestVaultPassDeepQueue(t *testing.T) {
+	for _, tc := range []struct {
+		banks, deeper int
+		state, result uint64
+	}{
+		{16, 256, 0x2db7c16bbd8791e9, 0xeaa037d718aef8b1},
+		{128, 128, 0x691dc23cf0f2fae, 0x7b9ffde4114a9941},
+	} {
+		cfg := core.Table1Configs()[1]
+		cfg.NumBanks, cfg.QueueDepth, cfg.XbarDepth, cfg.ConflictWindow = tc.banks, 300, 512, 0
+		h := newHosted(t, cfg)
+		s := newSaturator()
+		digests := fnv.New64a()
+		deepest := 0
+		for c := 0; c < 600; c++ {
+			s.cycle(t, h)
+			if err := check.Verify(h); err != nil {
+				t.Fatalf("%d banks, cycle %d: %v", tc.banks, c, err)
+			}
+			for v := range h.Device(0).Vaults {
+				deepest = max(deepest, h.Device(0).Vaults[v].RqstQ.Len())
+			}
+			if c%50 == 49 {
+				binary.Write(digests, binary.LittleEndian, h.StateDigest())
+			}
+		}
+		if deepest <= tc.deeper {
+			t.Fatalf("%d banks: deepest vault request queue held %d packets; the test needs more than %d",
+				tc.banks, deepest, tc.deeper)
+		}
+		if state, result := digests.Sum64(), s.result.Sum64(); state != tc.state || result != tc.result {
+			t.Errorf("%d banks: state trajectory digest %#x, result digest %#x; pinned %#x, %#x",
+				tc.banks, state, result, tc.state, tc.result)
+		}
+	}
+}
+
 // TestBankArbitrationWithoutCachedBank covers the two ways a request
 // reaches a vault request queue without passing the crossbar stage that
 // caches its decoded bank — pushed there directly, and restored from a

@@ -554,7 +554,8 @@ func (d *Driver) send(a *workload.Access) (id uint64, ok bool, err error) {
 		}
 
 		// SendRequest encodes straight into a simulation-owned pooled
-		// buffer: one CRC computation and no per-request allocation.
+		// buffer: no CRC computation unless the packet's words are read,
+		// and no per-request allocation.
 		err = d.h.SendRequest(d.opts.Dev, link, packet.Request{
 			CUB: uint8(cube), Addr: addr, Tag: tag, Cmd: cmd, Data: data,
 		})

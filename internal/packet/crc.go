@@ -13,6 +13,12 @@ import "math/bits"
 // within each 64-bit word. The implementation is slicing-by-8: one
 // 64-bit word per step through eight 256-entry tables, bit-identical to
 // folding the same eight bytes one at a time.
+//
+// A packet built in place (BuildRequestInto, BuildResponseInto) is
+// stamped where its words are read (Packet.Words, VerifyCRC), not where
+// it is built: a request serviced into its response, and a response the
+// host decodes field by field, never pay for a CRC nobody reads. The
+// value builders and Finalize stamp at once.
 
 // crcPoly is the Koopman CRC-32K generator polynomial in the conventional
 // MSB-first (normal) representation.

@@ -1,6 +1,9 @@
 package packet
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzErrorResponse drives the ERROR-response path of the fault model:
 // arbitrary word soup — malformed tags, truncated payloads, corrupt CRCs
@@ -40,6 +43,13 @@ func FuzzErrorResponse(f *testing.F) {
 			return
 		}
 		e := ErrorResponse(&p, cub, errStat)
+		// The in-place builder, whose CRC waits for the first read of the
+		// words, must read exactly as the stamped value.
+		var into Packet
+		ErrorResponseInto(&into, &p, cub, errStat)
+		if !slices.Equal(into.Words(), e.Words()) {
+			t.Fatalf("ErrorResponseInto words %x, ErrorResponse words %x", into.Words(), e.Words())
+		}
 		out, err := FromWords(e.Words())
 		if err != nil {
 			t.Fatalf("ERROR response failed re-decode: %v\nsource: %v", err, p.String())

@@ -115,21 +115,39 @@ var (
 // BuildRequest, BuildResponse, BuildFlow or FromWords.
 type Packet struct {
 	raw   [MaxWords]uint64
-	words int
+	words int32
+	// crcDue marks a packet built in place (BuildRequestInto,
+	// BuildResponseInto) whose CRC field is still zero: the stamp is
+	// computed from the words when they are first read (Words,
+	// VerifyCRC), not when they are written. It packs beside words, so
+	// a Packet stays 152 bytes.
+	crcDue bool
 }
 
 // Words returns the packet contents as a slice of 64-bit words backed by
-// the packet's storage: header, data..., tail.
-func (p *Packet) Words() []uint64 { return p.raw[:p.words] }
+// the packet's storage: header, data..., tail. A packet built in place
+// has its CRC stamped here, on the first read of its words, so the
+// words returned always carry a valid CRC unless a field was mutated
+// after the stamp without Finalize.
+func (p *Packet) Words() []uint64 {
+	if p.crcDue {
+		p.Finalize()
+	}
+	return p.raw[:p.words]
+}
 
 // Flits returns the packet length in FLITs.
-func (p *Packet) Flits() int { return p.words / WordsPerFlit }
+func (p *Packet) Flits() int { return int(p.words) / WordsPerFlit }
 
 // Bytes returns the packet length in bytes.
-func (p *Packet) Bytes() int { return p.words * 8 }
+func (p *Packet) Bytes() int { return int(p.words) * 8 }
 
 func (p *Packet) header() uint64 { return p.raw[0] }
 func (p *Packet) tail() uint64   { return p.raw[p.words-1] }
+
+// sized reports whether the word count is a packet length the
+// specification allows, whole FLITs or not.
+func (p *Packet) sized() bool { return p.words >= WordsPerFlit && p.words <= MaxWords }
 
 // Cmd returns the packet command code.
 func (p *Packet) Cmd() Command { return Command(p.header() >> cmdShift & cmdMask) }
@@ -179,7 +197,8 @@ func (p *Packet) ErrStat() uint8 { return uint8(p.tail() >> errStatShift & errSt
 func (p *Packet) DInv() bool { return p.tail()>>dinvShift&1 == 1 }
 
 // Data returns the packet data words (everything between header and tail),
-// backed by the packet's storage.
+// backed by the packet's storage. Reading the data does not stamp the
+// CRC: the CRC field lives in the tail.
 func (p *Packet) Data() []uint64 { return p.raw[1 : p.words-1] }
 
 // SetCUB rewrites the cube ID field. Finalize must be called afterwards to
@@ -215,16 +234,31 @@ func (p *Packet) SetRTC(rtc uint8) {
 }
 
 // Finalize recomputes and stores the packet CRC. It must be called after
-// any field mutation.
+// any field mutation. On a packet whose word count is no packet length
+// (the zero Packet, say) it does nothing.
 func (p *Packet) Finalize() {
+	if !p.sized() {
+		return
+	}
+	p.crcDue = false
 	i := p.words - 1
 	p.raw[i] &^= crcFieldMask
 	crc := CRC(p.raw[:p.words])
 	p.raw[i] |= uint64(crc) << crcShift
 }
 
-// VerifyCRC reports whether the stored CRC matches the packet contents.
+// VerifyCRC reports whether the stored CRC matches the packet contents. A
+// packet built in place and not yet read is stamped here (see Words), and
+// matches by construction. A packet whose word count is no packet length
+// fails.
 func (p *Packet) VerifyCRC() bool {
+	if !p.sized() {
+		return false
+	}
+	if p.crcDue {
+		p.Finalize()
+		return true
+	}
 	i := p.words - 1
 	stored := uint32(p.raw[i] >> crcShift)
 	saved := p.raw[i]
@@ -238,7 +272,7 @@ func (p *Packet) VerifyCRC() bool {
 // LNG/DLN fields, a length field consistent with the stored word count, and
 // a valid CRC.
 func (p *Packet) Validate() error {
-	if p.words < WordsPerFlit || p.words > MaxWords || p.words%WordsPerFlit != 0 {
+	if !p.sized() || p.words%WordsPerFlit != 0 {
 		return ErrBadLength
 	}
 	if !p.Cmd().Valid() {
@@ -263,7 +297,7 @@ func FromWords(words []uint64) (Packet, error) {
 	if len(words) < WordsPerFlit || len(words) > MaxWords || len(words)%WordsPerFlit != 0 {
 		return p, ErrBadLength
 	}
-	p.words = len(words)
+	p.words = int32(len(words))
 	copy(p.raw[:], words)
 	if err := p.Validate(); err != nil {
 		return Packet{}, err
@@ -298,12 +332,17 @@ func BuildRequest(r Request) (Packet, error) {
 	if err := BuildRequestInto(&p, r); err != nil {
 		return Packet{}, err
 	}
+	p.Finalize()
 	return p, nil
 }
 
 // BuildRequestInto encodes r into p's storage without allocating: the
 // zero-copy companion of BuildRequest used by the simulation hot path
-// with pooled packets. On error p is left unspecified.
+// with pooled packets. The CRC is not computed here: the tail's CRC
+// field is left zero and the packet marked, and the first read of its
+// words (Words, VerifyCRC, Validate) stamps it, so a packet whose words
+// never leave the engine never pays for one. On error p is left
+// unspecified.
 func BuildRequestInto(p *Packet, r Request) error {
 	if !r.Cmd.IsRequest() && !r.Cmd.IsFlow() {
 		return fmt.Errorf("packet: %v is not a request command", r.Cmd)
@@ -319,11 +358,11 @@ func BuildRequestInto(p *Packet, r Request) error {
 		return fmt.Errorf("packet: tag %d exceeds %d bits", r.Tag, TagBits)
 	}
 	flits := r.Cmd.Flits()
-	p.words = flits * WordsPerFlit
+	p.words = int32(flits * WordsPerFlit)
 	p.raw[0] = buildHeader(r.Cmd, flits, r.Tag, r.Addr, r.CUB)
 	copy(p.raw[1:p.words-1], r.Data)
 	p.raw[p.words-1] = uint64(r.SLID&slidMask)<<slidShift | uint64(r.Seq&seqMask)<<seqShift
-	p.Finalize()
+	p.crcDue = true
 	return nil
 }
 
@@ -362,13 +401,15 @@ func BuildResponse(r Response) (Packet, error) {
 	if err := BuildResponseInto(&p, r); err != nil {
 		return Packet{}, err
 	}
+	p.Finalize()
 	return p, nil
 }
 
 // BuildResponseInto encodes r into p's storage without allocating. p may
 // be the very packet the request arrived in (the vault stages recycle the
 // request's pooled buffer for its response); r.Data must not alias p's
-// data words in that case. On error p is left unspecified.
+// data words in that case. Like BuildRequestInto it leaves the CRC to
+// the first read of the words. On error p is left unspecified.
 func BuildResponseInto(p *Packet, r Response) error {
 	if !r.Cmd.IsResponse() {
 		return fmt.Errorf("packet: %v is not a response command", r.Cmd)
@@ -377,7 +418,7 @@ func BuildResponseInto(p *Packet, r Response) error {
 		return fmt.Errorf("packet: response data must be whole FLITs, got %d words", len(r.Data))
 	}
 	flits := 1 + len(r.Data)/WordsPerFlit
-	p.words = flits * WordsPerFlit
+	p.words = int32(flits * WordsPerFlit)
 	p.raw[0] = buildHeader(r.Cmd, flits, r.Tag, uint64(r.SLID&slidMask), r.CUB)
 	copy(p.raw[1:p.words-1], r.Data)
 	tail := uint64(r.Seq&seqMask)<<seqShift |
@@ -386,7 +427,7 @@ func BuildResponseInto(p *Packet, r Response) error {
 		tail |= 1 << dinvShift
 	}
 	p.raw[p.words-1] = tail
-	p.Finalize()
+	p.crcDue = true
 	return nil
 }
 
@@ -428,13 +469,15 @@ func BuildFlow(cmd Command, rtc uint8) (Packet, error) {
 func ErrorResponse(req *Packet, cub uint8, errStat uint8) Packet {
 	var p Packet
 	ErrorResponseInto(&p, req, cub, errStat)
+	p.Finalize()
 	return p
 }
 
 // ErrorResponseInto is ErrorResponse without the copy: it encodes the
 // error response into p's storage. p may be req itself — the correlation
 // fields are captured before the storage is overwritten, so a queued
-// packet can be poisoned in place.
+// packet can be poisoned in place. It builds through BuildResponseInto,
+// so the CRC is stamped when the words are first read.
 func ErrorResponseInto(p *Packet, req *Packet, cub uint8, errStat uint8) {
 	r := Response{
 		CUB:     cub,

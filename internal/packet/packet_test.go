@@ -2,8 +2,10 @@ package packet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -138,7 +140,7 @@ func TestCRCDetectsCorruption(t *testing.T) {
 	}
 	// Flip every bit position in turn (excluding the CRC field itself) and
 	// confirm detection.
-	for w := 0; w < p.words; w++ {
+	for w := int32(0); w < p.words; w++ {
 		for bit := 0; bit < 64; bit++ {
 			if w == p.words-1 && bit >= 32 {
 				continue // CRC field
@@ -170,6 +172,94 @@ func TestMutationThenFinalizeRestoresCRC(t *testing.T) {
 	}
 	if p.Addr() != 0x1234 || p.Tag() != 42 {
 		t.Error("SetSLID corrupted other fields")
+	}
+}
+
+// TestVerifyCRCZeroPacket holds VerifyCRC and Finalize to packets whose
+// word count is no packet length: the check fails and the stamp does
+// nothing, where both used to index the word before the first.
+func TestVerifyCRCZeroPacket(t *testing.T) {
+	for _, n := range []int32{0, 1, MaxWords + 1, MaxWords + 2} {
+		p := Packet{words: n}
+		if p.VerifyCRC() {
+			t.Errorf("%d words: VerifyCRC = true", n)
+		}
+		p.Finalize()
+		if p != (Packet{words: n}) {
+			t.Errorf("%d words: Finalize wrote %x", n, p.raw)
+		}
+		if err := p.Validate(); err != ErrBadLength {
+			t.Errorf("%d words: Validate = %v, want ErrBadLength", n, err)
+		}
+	}
+}
+
+// TestPacketSize pins the packet buffer at 152 bytes: the CRC-pending
+// mark packs beside the word count instead of growing every pool slab.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 152 {
+		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want 152", got)
+	}
+}
+
+// TestIntoBuildersMatchValueBuilders is the stamp contract: a packet
+// built in place, whose CRC waits for the first read of its words, reads
+// exactly as the CRC-stamped packet the value builder returns — request,
+// response, error response, and a response built over its own request's
+// buffer as the vault stages do.
+func TestIntoBuildersMatchValueBuilders(t *testing.T) {
+	same := func(what string, into, value *Packet) bool {
+		if !slices.Equal(into.Words(), value.Words()) || !into.VerifyCRC() {
+			t.Logf("%s: in place %x, value %x", what, into.Words(), value.Words())
+			return false
+		}
+		return true
+	}
+	f := func(seed int64, errStat uint8, dinv bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		req := quickRequest(r)
+		want, err := BuildRequest(req)
+		if err != nil {
+			return false
+		}
+		var got Packet
+		if err := BuildRequestInto(&got, req); err != nil || !same("request", &got, &want) {
+			return false
+		}
+		rsp := Response{
+			CUB: uint8(r.Intn(MaxCUB + 1)), Tag: req.Tag, Cmd: CmdRDRS,
+			SLID: req.SLID, Seq: req.Seq, ErrStat: errStat, DInv: dinv,
+			Data: make([]uint64, WordsPerFlit*r.Intn(MaxFlits)),
+		}
+		for i := range rsp.Data {
+			rsp.Data[i] = r.Uint64()
+		}
+		wantRsp, err := BuildResponse(rsp)
+		if err != nil {
+			return false
+		}
+		var gotRsp Packet
+		if err := BuildResponseInto(&gotRsp, rsp); err != nil || !same("response", &gotRsp, &wantRsp) {
+			return false
+		}
+		// In place over the request's buffer, read or not before.
+		if r.Intn(2) == 0 {
+			got.Words()
+		}
+		if err := BuildResponseInto(&got, rsp); err != nil || !same("response over its request", &got, &wantRsp) {
+			return false
+		}
+		wantErr := ErrorResponse(&want, rsp.CUB, errStat)
+		var gotErr Packet
+		ErrorResponseInto(&gotErr, &want, rsp.CUB, errStat)
+		if !same("error response", &gotErr, &wantErr) {
+			return false
+		}
+		ErrorResponseInto(&want, &want, rsp.CUB, errStat)
+		return same("error response over its request", &want, &wantErr)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -362,7 +452,7 @@ func TestPropertyCRCDetectsSingleBitFlips(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := int(wordSel) % p.words
+		w := int32(wordSel) % p.words
 		bit := int(bitSel) % 64
 		if w == p.words-1 && bit >= 32 {
 			return true // flipping the CRC field itself; skip
