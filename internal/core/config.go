@@ -38,7 +38,7 @@ type Config struct {
 	NumVaults int
 	// QueueDepth is the depth of every vault request and response queue.
 	QueueDepth int
-	// NumBanks is the bank count per vault.
+	// NumBanks is the bank count per vault, at most 64.
 	NumBanks int
 	// NumDRAMs is the DRAM part count per bank.
 	NumDRAMs int
@@ -127,6 +127,10 @@ func Table1Configs() []Config {
 	}
 }
 
+// maxBanks bounds Config.NumBanks: the paper's devices have 8 or 16
+// banks per vault, and the vault pass keeps a 64-bit bank mask.
+const maxBanks = 64
+
 // MaxWorkers bounds the ignored Config.Workers, so submissions that
 // were invalid when it meant a goroutine count stay invalid.
 const MaxWorkers = 64
@@ -195,6 +199,9 @@ func (c Config) Validate() error {
 	if c.NumDevs >= packet.MaxCUB {
 		return fmt.Errorf("%w: device count %d exceeds the %d-cube ID space",
 			ErrConfig, c.NumDevs, packet.MaxCUB)
+	}
+	if c.NumBanks > maxBanks {
+		return fmt.Errorf("%w: bank count %d exceeds %d per vault", ErrConfig, c.NumBanks, maxBanks)
 	}
 	if err := c.deviceConfig().Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrConfig, err)

@@ -34,13 +34,9 @@ func nextBit(word uint64, from int) int {
 // from then on, through Free and Restore included. It also allocates the
 // vault passes' winner lists (HMC.win): every winner claims a bank of the
 // 64-bit claim mask, so a vault has at most min(banks, queue depth) of
-// them — except past 64 banks, where a bank without a bit in the mask
-// always wins and only the queue depth bounds the list.
+// them.
 func (h *HMC) bindOccupancy() {
-	h.winCap = h.cfg.QueueDepth
-	if h.cfg.NumBanks <= 64 {
-		h.winCap = min(h.cfg.NumBanks, h.cfg.QueueDepth)
-	}
+	h.winCap = min(h.cfg.NumBanks, h.cfg.QueueDepth)
 	units := len(h.devs) * h.cfg.NumVaults
 	h.win = make([]int32, units*h.winCap)
 	h.winN = make([]int32, units)

@@ -107,9 +107,6 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// Delta is an alias for Sub: the per-window difference of two snapshots.
-func (s Stats) Delta(o Stats) Stats { return s.Sub(o) }
-
 // Serviced returns the total number of requests serviced by vaults and the
 // register interface.
 func (s Stats) Serviced() uint64 {

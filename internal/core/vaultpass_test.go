@@ -145,17 +145,24 @@ const (
 // TestVaultPassDeepQueue runs a vault request queue deeper than a byte
 // can index, saturated, with the whole queue as the arbitration window:
 // bank arbitration and service must reach winners at FIFO positions past
-// 255. At 128 banks, half of them past the 64-bit claim mask, a vault
-// can have more winners than banks. It audits the structure after every clock and
-// pins the digests of the revision that walked the window twice per
-// cycle.
+// 255. At 64 banks every bit of the 64-bit claim mask is a bank, the
+// most a vault may have: 128 banks is a configuration error. It audits
+// the structure after every clock and pins digests: the 16-bank row's
+// from the revision that walked the window twice per cycle, the 64-bank
+// row's from the winner-list pass that reproduced that revision's.
 func TestVaultPassDeepQueue(t *testing.T) {
+	wide := core.Table1Configs()[1]
+	wide.NumBanks = 128
+	if _, err := core.New(wide); !errors.Is(err, core.ErrConfig) {
+		t.Errorf("128 banks per vault: err = %v, want ErrConfig", err)
+	}
+
 	for _, tc := range []struct {
 		banks, deeper int
 		state, result uint64
 	}{
 		{16, 256, 0x2db7c16bbd8791e9, 0xeaa037d718aef8b1},
-		{128, 128, 0x691dc23cf0f2fae, 0x7b9ffde4114a9941},
+		{64, 128, 0x46841671658abdcc, 0xd30ff40a4026d316},
 	} {
 		cfg := core.Table1Configs()[1]
 		cfg.NumBanks, cfg.QueueDepth, cfg.XbarDepth, cfg.ConflictWindow = tc.banks, 300, 512, 0

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -456,7 +455,7 @@ func TestRecoveringRejectsSubmissions(t *testing.T) {
 	s := openStore(t, dir)
 	for i := 1; i <= 3; i++ {
 		rec := store.Record{
-			Type: store.RecSubmitted, Job: fmt.Sprintf("job-%06d", i),
+			Type: store.RecSubmitted, Job: jobID(i),
 			Time: time.Now(), Spec: specJSON,
 		}
 		if err := s.Append(rec); err != nil {
@@ -514,7 +513,7 @@ func TestRecoveringRejectsSubmissions(t *testing.T) {
 	// run: the third backlog job can still hold the one queue slot. Wait
 	// for all three.
 	for i := 1; i <= 3; i++ {
-		waitTerminal(t, m, fmt.Sprintf("job-%06d", i))
+		waitTerminal(t, m, jobID(i))
 	}
 	if _, err := m.Submit(spec); err != nil {
 		t.Errorf("submit after recovery: %v", err)

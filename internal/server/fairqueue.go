@@ -20,26 +20,25 @@ import "sync"
 // still runs on its own engine instance, and the determinism digests are
 // a function of the spec alone (DESIGN.md §16).
 //
-// Locking: fairQueue has its own mutex, below the manager's in the lock
-// order — manager code calls into the queue while holding m.mu, the
-// queue never calls back into the manager. Workers block in pop without
-// holding m.mu, so status reads stay responsive while the pool is idle.
+// Locking: fairQueue has no lock of its own. Every call runs under the
+// manager's mutex, which cond is built over, so the queue is one ledger
+// with the job table. Workers block in pop on cond, which releases the
+// mutex while they wait, so status reads stay responsive while the pool
+// is idle.
 type fairQueue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	capacity int
-	size     int
-	closed   bool
+	cond   *sync.Cond
+	size   int // queued jobs across all lanes
+	closed bool
 
 	lanes map[string]*tenantLane
-	ring  []*tenantLane // lanes with pending jobs, round-robin order
+	ring  []*tenantLane // lanes with queued jobs, round-robin order
 	cur   int           // ring index the next dispatch scan starts at
 }
 
 // tenantLane is one tenant's FIFO and its scheduling state.
 type tenantLane struct {
-	tenant     string
 	jobs       []*job
+	parked     int // jobs waiting out a retry backoff, bound to re-enter jobs
 	weight     int // credits earned per round (DRR quantum), >= 1
 	deficit    int // credits available to spend
 	running    int // popped but not yet released
@@ -47,66 +46,37 @@ type tenantLane struct {
 	inRing     bool
 }
 
-func newFairQueue(capacity int) *fairQueue {
-	q := &fairQueue{
-		capacity: capacity,
-		lanes:    make(map[string]*tenantLane),
+// newFairQueue returns an empty queue whose callers hold mu.
+func newFairQueue(mu *sync.Mutex) *fairQueue {
+	return &fairQueue{
+		cond:  sync.NewCond(mu),
+		lanes: make(map[string]*tenantLane),
 	}
-	q.cond = sync.NewCond(&q.mu)
-	return q
 }
 
 // configureTenant pins a lane's weight and running cap before the queue
 // is in use. Unconfigured tenants get weight 1 and no running cap.
 func (q *fairQueue) configureTenant(tenant string, weight, maxRunning int) {
-	if weight < 1 {
-		weight = 1
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	l := q.lane(tenant)
-	l.weight = weight
+	l.weight = max(weight, 1)
 	l.maxRunning = maxRunning
 }
 
-// lane returns (creating if needed) the tenant's lane. Caller holds q.mu.
+// lane returns (creating if needed) the tenant's lane.
 func (q *fairQueue) lane(tenant string) *tenantLane {
 	l, ok := q.lanes[tenant]
 	if !ok {
-		l = &tenantLane{tenant: tenant, weight: 1}
+		l = &tenantLane{weight: 1}
 		q.lanes[tenant] = l
 	}
 	return l
 }
 
-// push appends a new job to its tenant's lane. It reports false when the
-// queue is at capacity or closed; it never blocks. All pushes happen
-// under the manager's mutex, so a capacity check followed by a push
-// cannot race another producer past the bound.
-func (q *fairQueue) push(tenant string, j *job) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || q.size >= q.capacity {
-		return false
-	}
-	q.appendLocked(tenant, j)
-	return true
-}
-
-// readmit appends a job the manager already accepted (an expired retry,
-// a promoted follower, a recovered job) to its tenant's lane. It never
-// fails: the capacity bound gates intake only, so readmitted jobs may
-// briefly hold the queue past it while push keeps refusing new work.
-func (q *fairQueue) readmit(j *job) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.appendLocked(j.tenant, j)
-}
-
-// appendLocked queues j at the tail of the tenant's lane and wakes one
-// worker. Caller holds q.mu.
-func (q *fairQueue) appendLocked(tenant string, j *job) {
-	l := q.lane(tenant)
+// add queues j at the tail of its tenant's lane and wakes one worker. It
+// never refuses: the manager gates intake against its queue bound and
+// its closed flag before it adds.
+func (q *fairQueue) add(j *job) {
+	l := q.lane(j.tenant)
 	l.jobs = append(l.jobs, j)
 	q.size++
 	if !l.inRing {
@@ -122,10 +92,8 @@ func (q *fairQueue) appendLocked(tenant string, j *job) {
 // remains — like a drained closed channel, jobs still queued at close
 // keep being handed out so the pool can drain them.
 func (q *fairQueue) pop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for {
-		if j := q.dispatchLocked(); j != nil {
+		if j := q.dispatch(); j != nil {
 			return j, true
 		}
 		if q.closed {
@@ -135,13 +103,13 @@ func (q *fairQueue) pop() (*job, bool) {
 	}
 }
 
-// dispatchLocked runs one deficit-round-robin scan: starting at cur,
-// the first lane with pending work, spare running quota and a credit to
-// spend dispatches its head job. A lane that spends its last credit (or
+// dispatch runs one deficit-round-robin scan: starting at cur, the first
+// lane with queued work, spare running quota and a credit to spend
+// dispatches its head job. A lane that spends its last credit (or
 // empties) hands the turn to the next lane; one with credit left keeps
 // the turn, so a weight-w tenant dispatches up to w consecutive jobs per
-// round. Caller holds q.mu.
-func (q *fairQueue) dispatchLocked() *job {
+// round.
+func (q *fairQueue) dispatch() *job {
 	for scanned := 0; scanned < len(q.ring); scanned++ {
 		idx := (q.cur + scanned) % len(q.ring)
 		l := q.ring[idx]
@@ -158,7 +126,7 @@ func (q *fairQueue) dispatchLocked() *job {
 		l.running++
 		q.size--
 		if len(l.jobs) == 0 {
-			q.leaveRingLocked(idx)
+			q.leaveRing(idx)
 		} else if l.deficit < 1 {
 			q.cur = (idx + 1) % len(q.ring)
 		} else {
@@ -169,11 +137,10 @@ func (q *fairQueue) dispatchLocked() *job {
 	return nil
 }
 
-// leaveRingLocked takes the emptied lane at ring index idx out of the
-// ring. It forfeits saved credit — deficit must not accumulate while a
-// tenant has nothing queued, or an idle tenant could later burst past
-// its share. Caller holds q.mu.
-func (q *fairQueue) leaveRingLocked(idx int) {
+// leaveRing takes the emptied lane at ring index idx out of the ring. It
+// forfeits saved credit — deficit must not accumulate while a tenant has
+// nothing queued, or an idle tenant could later burst past its share.
+func (q *fairQueue) leaveRing(idx int) {
 	l := q.ring[idx]
 	l.deficit = 0
 	l.inRing = false
@@ -192,8 +159,6 @@ func (q *fairQueue) leaveRingLocked(idx int) {
 // settles (or its dispatch was abandoned), waking a worker that may have
 // been blocked on the tenant's running cap.
 func (q *fairQueue) release(tenant string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if l, ok := q.lanes[tenant]; ok && l.running > 0 {
 		l.running--
 	}
@@ -201,13 +166,10 @@ func (q *fairQueue) release(tenant string) {
 }
 
 // remove takes a still-queued job out of its tenant's lane (cancellation
-// while queued), freeing its capacity slot immediately instead of
-// waiting for a worker to pop and discard it. Reports whether j was
+// while queued), freeing its slot immediately. Reports whether j was
 // found.
-func (q *fairQueue) remove(tenant string, j *job) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	l, ok := q.lanes[tenant]
+func (q *fairQueue) remove(j *job) bool {
+	l, ok := q.lanes[j.tenant]
 	if !ok {
 		return false
 	}
@@ -220,7 +182,7 @@ func (q *fairQueue) remove(tenant string, j *job) bool {
 		if len(l.jobs) == 0 && l.inRing {
 			for k, rl := range q.ring {
 				if rl == l {
-					q.leaveRingLocked(k)
+					q.leaveRing(k)
 					break
 				}
 			}
@@ -233,30 +195,18 @@ func (q *fairQueue) remove(tenant string, j *job) bool {
 // close stops pop from blocking: drained workers exit once the queue is
 // empty. Idempotent.
 func (q *fairQueue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.closed = true
 	q.cond.Broadcast()
 }
 
 // Len is the total number of queued jobs across all lanes.
-func (q *fairQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
+func (q *fairQueue) Len() int { return q.size }
 
-// Cap is the queue's capacity bound on intake; readmitted jobs may push
-// Len past it.
-func (q *fairQueue) Cap() int { return q.capacity }
-
-// queued reports how many jobs the tenant has waiting in its lane — the
-// count its MaxQueued quota is checked against.
-func (q *fairQueue) queued(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// pending is what the tenant's MaxQueued quota is checked against: the
+// jobs waiting in its lane plus those parked on a retry backoff.
+func (q *fairQueue) pending(tenant string) int {
 	if l, ok := q.lanes[tenant]; ok {
-		return len(l.jobs)
+		return len(l.jobs) + l.parked
 	}
 	return 0
 }

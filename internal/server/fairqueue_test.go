@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,14 @@ import (
 
 	"hmcsim/internal/core"
 )
+
+// lockedQueue returns an empty fair queue and the mutex its callers
+// hold, locked: the test plays the manager, whose mutex guards the queue.
+func lockedQueue() (*fairQueue, *sync.Mutex) {
+	mu := new(sync.Mutex)
+	mu.Lock()
+	return newFairQueue(mu), mu
+}
 
 // TestFairShareAlternation is the tentpole acceptance property: two
 // tenants, 16 jobs each, a 1-worker server — completions must
@@ -100,14 +109,12 @@ func TestFairShareAlternation(t *testing.T) {
 // served counts differ by at most 1.
 func TestFairQueueBoundedSkew(t *testing.T) {
 	const tenants, perTenant = 4, 25
-	q := newFairQueue(tenants * perTenant)
+	q, _ := lockedQueue()
 	remaining := map[string]int{}
 	for i := 0; i < perTenant; i++ {
 		for k := 0; k < tenants; k++ {
 			name := fmt.Sprintf("t%d", k)
-			if !q.push(name, &job{id: fmt.Sprintf("%s-%d", name, i), tenant: name}) {
-				t.Fatalf("push %s-%d rejected", name, i)
-			}
+			q.add(&job{id: fmt.Sprintf("%s-%d", name, i), tenant: name})
 			remaining[name]++
 		}
 	}
@@ -150,14 +157,14 @@ func TestFairQueueBoundedSkew(t *testing.T) {
 // TestFairQueueWeights pins the DRR quantum: a weight-2 tenant
 // dispatches two jobs per round against a weight-1 tenant's one.
 func TestFairQueueWeights(t *testing.T) {
-	q := newFairQueue(16)
+	q, _ := lockedQueue()
 	q.configureTenant("heavy", 2, 0)
 	q.configureTenant("light", 1, 0)
 	for i := 0; i < 6; i++ {
-		q.push("heavy", &job{id: fmt.Sprintf("h%d", i), tenant: "heavy"})
+		q.add(&job{id: fmt.Sprintf("h%d", i), tenant: "heavy"})
 	}
 	for i := 0; i < 3; i++ {
-		q.push("light", &job{id: fmt.Sprintf("l%d", i), tenant: "light"})
+		q.add(&job{id: fmt.Sprintf("l%d", i), tenant: "light"})
 	}
 	var got []string
 	for i := 0; i < 9; i++ {
@@ -177,11 +184,11 @@ func TestFairQueueWeights(t *testing.T) {
 // TestFairQueueRunningCap pins lane skipping: a tenant at its MaxRunning
 // cap is passed over (without losing its ring slot) until release.
 func TestFairQueueRunningCap(t *testing.T) {
-	q := newFairQueue(16)
+	q, mu := lockedQueue()
 	q.configureTenant("capped", 1, 1)
-	q.push("capped", &job{id: "c0", tenant: "capped"})
-	q.push("capped", &job{id: "c1", tenant: "capped"})
-	q.push("other", &job{id: "o0", tenant: "other"})
+	q.add(&job{id: "c0", tenant: "capped"})
+	q.add(&job{id: "c1", tenant: "capped"})
+	q.add(&job{id: "o0", tenant: "other"})
 
 	j, _ := q.pop()
 	if j.id != "c0" {
@@ -192,8 +199,11 @@ func TestFairQueueRunningCap(t *testing.T) {
 	if j.id != "o0" {
 		t.Fatalf("pop under cap returned %s, want o0 (lane not skipped)", j.id)
 	}
+	mu.Unlock()
 	done := make(chan *job, 1)
 	go func() {
+		mu.Lock()
+		defer mu.Unlock()
 		j, _ := q.pop() // blocks until the cap releases
 		done <- j
 	}()
@@ -202,7 +212,9 @@ func TestFairQueueRunningCap(t *testing.T) {
 		t.Fatalf("pop returned %s while capped lane was the only pending one", j.id)
 	default:
 	}
+	mu.Lock()
 	q.release("capped")
+	mu.Unlock()
 	if j = <-done; j.id != "c1" {
 		t.Fatalf("post-release pop %s, want c1", j.id)
 	}
@@ -210,16 +222,20 @@ func TestFairQueueRunningCap(t *testing.T) {
 
 // TestFairQueueDrainAfterClose replicates closed-channel semantics: jobs
 // queued at close keep being handed out; pop reports ok=false only once
-// the queue is empty.
+// the queue is empty. The queue never refuses a job: the manager stops
+// intake before it closes the queue.
 func TestFairQueueDrainAfterClose(t *testing.T) {
-	q := newFairQueue(8)
+	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 8})
+	shutdownNow(t, m)
+	if _, err := m.Submit(testSpec("late", core.Table1Configs()[0], 8)); !errors.Is(err, ErrShuttingDown) {
+		t.Errorf("submit after Shutdown: err = %v, want ErrShuttingDown", err)
+	}
+
+	q, _ := lockedQueue()
 	for i := 0; i < 3; i++ {
-		q.push("t", &job{id: fmt.Sprintf("j%d", i), tenant: "t"})
+		q.add(&job{id: fmt.Sprintf("j%d", i), tenant: "t"})
 	}
 	q.close()
-	if q.push("t", &job{id: "late", tenant: "t"}) {
-		t.Error("push succeeded after close")
-	}
 	for i := 0; i < 3; i++ {
 		j, ok := q.pop()
 		if !ok || j.id != fmt.Sprintf("j%d", i) {
@@ -232,40 +248,34 @@ func TestFairQueueDrainAfterClose(t *testing.T) {
 }
 
 // TestFairQueueRemove pins eager cancellation: a removed job frees its
-// capacity slot and never dispatches; FIFO order of the rest holds.
+// slot and never dispatches; FIFO order of the rest holds. The bound is
+// the manager's intake check: a cancelled queued job's slot is reusable
+// at once, and readmitted jobs may hold the queue past QueueDepth while
+// new work is refused.
 func TestFairQueueRemove(t *testing.T) {
-	q := newFairQueue(3)
+	testFairQueueBoundThroughManager(t)
+
+	q, _ := lockedQueue()
 	jobs := []*job{
 		{id: "j0", tenant: "t"}, {id: "j1", tenant: "t"}, {id: "j2", tenant: "t"},
 	}
 	for _, j := range jobs {
-		q.push("t", j)
+		q.add(j)
 	}
-	if q.push("t", &job{id: "full", tenant: "t"}) {
-		t.Fatal("push past capacity succeeded")
-	}
-	if !q.remove("t", jobs[1]) {
+	if !q.remove(jobs[1]) {
 		t.Fatal("remove did not find the queued job")
 	}
-	if q.remove("t", jobs[1]) {
+	if q.remove(jobs[1]) {
 		t.Error("second remove of the same job reported found")
 	}
 	if q.Len() != 2 {
 		t.Errorf("Len() = %d after remove, want 2", q.Len())
 	}
-	if !q.push("t", &job{id: "j3", tenant: "t"}) {
-		t.Error("slot freed by remove not reusable")
-	}
-	// Readmission ignores the bound: an accepted job always re-enters
-	// its lane, while new work is still refused until the queue drains
-	// below capacity.
-	q.readmit(&job{id: "r0", tenant: "t"})
-	q.readmit(&job{id: "r1", tenant: "u"})
+	q.add(&job{id: "j3", tenant: "t"})
+	q.add(&job{id: "r0", tenant: "t"})
+	q.add(&job{id: "r1", tenant: "u"})
 	if q.Len() != 5 {
-		t.Errorf("Len() = %d after readmitting past capacity, want 5", q.Len())
-	}
-	if q.push("t", &job{id: "over", tenant: "t"}) {
-		t.Error("push succeeded while readmitted jobs hold the queue past capacity")
+		t.Errorf("Len() = %d, want 5", q.Len())
 	}
 	// Lane order: t's FIFO and u's alternate under equal weights.
 	for _, want := range []string{"j0", "r1", "j2", "j3", "r0"} {
@@ -277,5 +287,50 @@ func TestFairQueueRemove(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Errorf("Len() = %d after draining, want 0", q.Len())
+	}
+}
+
+// testFairQueueBoundThroughManager is TestFairQueueRemove's intake half:
+// one worker held busy, a one-slot queue.
+func testFairQueueBoundThroughManager(t *testing.T) {
+	started := make(chan string, 8)
+	gate := make(chan struct{})
+	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 1, runFn: blockingRun(started, gate)})
+	defer shutdownNow(t, m)
+	defer close(gate)
+	cfg := core.Table1Configs()[0]
+	submit := func(name string) (Status, error) {
+		return m.Submit(testSpec(name, cfg, 8))
+	}
+	if _, err := submit("running"); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := submit("queued")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := submit("full"); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit past QueueDepth: err = %v, want ErrQueueFull", err)
+	}
+	if _, err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := submit("reuses-slot"); err != nil {
+		t.Fatalf("slot freed by cancelling a queued job not reusable: %v", err)
+	}
+	// Readmission ignores the bound: an accepted job always re-enters
+	// its lane.
+	m.mu.Lock()
+	for _, tenant := range []string{"", "u"} {
+		m.readmitLocked(&job{id: "readmitted-" + tenant, tenant: tenant, spec: testSpec("readmitted", cfg, 8)})
+	}
+	depth := m.fq.Len()
+	m.mu.Unlock()
+	if depth != 3 {
+		t.Errorf("queue depth %d after readmitting past QueueDepth 1, want 3", depth)
+	}
+	if _, err := submit("over"); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("submit while readmitted jobs hold the queue past QueueDepth: err = %v, want ErrQueueFull", err)
 	}
 }

@@ -43,8 +43,8 @@ type HandlerOptions struct {
 // NewHandler mounts the JSON API for m under the canonical /v1/ prefix:
 //
 //	POST   /v1/jobs              submit a JobSpec -> 202 Status
-//	GET    /v1/jobs              list jobs        -> 200 [Status] (paged via
-//	                                                 ?limit=/?after=)
+//	GET    /v1/jobs              list jobs        -> 200 [Status] in submission
+//	                                                 order (paged via ?limit=/?after=)
 //	GET    /v1/jobs/{id}         poll one job     -> 200 Status (result when done)
 //	GET    /v1/jobs/{id}/events  follow one job   -> 200 text/event-stream
 //	DELETE /v1/jobs/{id}         cancel a job     -> 200 Status
@@ -126,9 +126,10 @@ func NewHandlerWithOptions(m *Manager, o HandlerOptions) http.Handler {
 			}
 		},
 		"GET /v1/jobs": func(w http.ResponseWriter, r *http.Request) {
-			// Paged listing: ?limit= bounds the page (default
-			// defaultListLimit, ceiling maxListLimit), ?after= resumes
-			// past a previous page's last ID. The body stays a bare JSON
+			// Paged listing in submission order: ?limit= bounds the page
+			// (default defaultListLimit, ceiling maxListLimit), ?after=
+			// resumes past a previous page's last ID. A malformed limit
+			// or cursor is 400 bad_request. The body stays a bare JSON
 			// array — pre-paging clients decode it unchanged — and the
 			// next cursor travels in the X-Next-After header.
 			limit := defaultListLimit
@@ -141,7 +142,13 @@ func NewHandlerWithOptions(m *Manager, o HandlerOptions) http.Handler {
 				}
 				limit = n
 			}
-			page, next := m.ListPageTenant(tenantFrom(r), r.URL.Query().Get("after"), limit)
+			after := r.URL.Query().Get("after")
+			if _, ok := parseJobID(after); after != "" && !ok {
+				writeError(w, http.StatusBadRequest, api.CodeBadRequest,
+					fmt.Errorf("server: after must be a job ID, got %q", after))
+				return
+			}
+			page, next := m.ListPageTenant(tenantFrom(r), after, limit)
 			if next != "" {
 				w.Header().Set("X-Next-After", next)
 			}

@@ -21,6 +21,8 @@ package server
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"hmcsim/internal/core"
@@ -80,10 +82,26 @@ func NewResult(cfg core.Config, spec JobSpec, r host.Result, snap core.Snapshot,
 	}
 }
 
+// jobID renders job number n as its ID: "job-" and at least six
+// digits, as many more as n needs past job-999999.
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+
+// parseJobID reads the number back out of an ID jobID rendered; ok is
+// false for any other string.
+func parseJobID(id string) (n int, ok bool) {
+	digits, found := strings.CutPrefix(id, "job-")
+	n, err := strconv.Atoi(digits)
+	if !found || err != nil || n < 0 || jobID(n) != id {
+		return 0, false
+	}
+	return n, true
+}
+
 // job is the manager's internal record. All fields past the immutable
 // header are guarded by the manager's mutex.
 type job struct {
-	id        string
+	seq       int    // job number, in submission order
+	id        string // jobID(seq)
 	spec      JobSpec
 	tenant    string // internal tenant name; "" is the anonymous tenant
 	submitted time.Time

@@ -145,16 +145,17 @@ type Manager struct {
 
 	mu         sync.Mutex
 	jobs       map[string]*job
-	order      []string // job IDs in submission order, for stable listings
+	order      []*job // every job in number order, for stable listings
 	idem       map[string]string
-	seq        int
+	seq        int // number of the last job issued
 	closed     bool
 	recovering bool
 
 	// fq is the multi-tenant dispatch queue between Submit and the
 	// worker pool: per-tenant FIFO lanes drained by deficit round-robin
 	// so one tenant's burst cannot starve the others (DESIGN.md §16).
-	// It replaced the single FIFO channel.
+	// It replaced the single FIFO channel. Guarded by mu, like the job
+	// table.
 	fq *fairQueue
 
 	// Tenant roster, immutable after NewManager: config by internal
@@ -165,17 +166,11 @@ type Manager struct {
 
 	// retryTimers tracks the pending backoff timer of every job waiting
 	// between attempts, keyed by job ID (at most one per job). A job is
-	// parked exactly while it has an entry here. Shutdown ends every
-	// backoff early instead of leaving jobs parked behind timers that
-	// fire into a closed manager. Guarded by mu.
+	// parked exactly while it has an entry here, and its tenant's lane
+	// counts it as parked. Shutdown ends every backoff early instead of
+	// leaving jobs parked behind timers that fire into a closed manager.
+	// Guarded by mu.
 	retryTimers map[string]*time.Timer
-	// retryParked counts, per tenant, the jobs currently parked on a
-	// retry-backoff timer. Parked jobs occupy no fair-queue lane slot but
-	// will re-enter the queue, so the MaxQueued quota charges them too —
-	// without this, a tenant whose jobs fail transiently could hold
-	// max_queued lane slots plus an unbounded set of parked retries.
-	// Guarded by mu, kept in lockstep with retryTimers.
-	retryParked map[string]int
 
 	// workersDone closes once the worker pool has fully exited during
 	// Shutdown; Shutdown waits on it, and SSE streams select on it so a
@@ -270,15 +265,14 @@ func NewManager(cfg ManagerConfig) *Manager {
 		baseCancel:  cancel,
 		jobs:        make(map[string]*job),
 		idem:        make(map[string]string),
-		fq:          newFairQueue(cfg.QueueDepth),
 		cache:       cache.NewLRU(cfg.CacheBytes),
 		inflight:    make(map[cache.Key]*job),
 		tenantCfg:   make(map[string]TenantConfig),
 		tenantKeys:  make(map[string]string),
 		retryTimers: make(map[string]*time.Timer),
-		retryParked: make(map[string]int),
 		workersDone: make(chan struct{}),
 	}
+	m.fq = newFairQueue(&m.mu)
 	for _, t := range cfg.Tenants {
 		name := t.internalName()
 		m.tenantCfg[name] = t
@@ -297,7 +291,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if m.store != nil {
 		m.recoverFromJournal()
 	}
-	m.recovering = m.fq.Len() > m.fq.Cap()
+	m.recovering = m.fq.Len() > cfg.QueueDepth
 	var wg sync.WaitGroup
 	wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -361,8 +355,12 @@ func (m *Manager) initMetrics() {
 	r.GaugeInt("cache_entries", "Results held in the cache.", func() int64 { return int64(m.cache.Len()) })
 	r.GaugeInt("workers", "Worker pool size.", func() int64 { return int64(m.cfg.Workers) })
 	r.GaugeInt("active_workers", "Workers currently running a job.", m.activeWorkers.Load)
-	r.GaugeInt("queue_depth", "Jobs waiting for a worker.", func() int64 { return int64(m.fq.Len()) })
-	r.GaugeInt("queue_capacity", "Bound of the job queue.", func() int64 { return int64(m.fq.Cap()) })
+	r.GaugeInt("queue_depth", "Jobs waiting for a worker.", func() int64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return int64(m.fq.Len())
+	})
+	r.GaugeInt("queue_capacity", "Bound of the job queue.", func() int64 { return int64(m.cfg.QueueDepth) })
 	r.GaugeFloat("uptime_seconds", "Seconds since the manager started.", func() float64 {
 		return time.Since(m.start).Seconds()
 	})
@@ -429,7 +427,10 @@ func retryAfterSeconds(queued, workers int, meanService float64) int {
 // 429 response, derived from live queue occupancy and the observed mean
 // job service time.
 func (m *Manager) RetryAfter() int {
-	return retryAfterSeconds(m.fq.Len(), m.cfg.Workers, m.service.Mean())
+	m.mu.Lock()
+	queued := m.fq.Len()
+	m.mu.Unlock()
+	return retryAfterSeconds(queued, m.cfg.Workers, m.service.Mean())
 }
 
 // Submit validates spec and enqueues a job, returning its initial
@@ -496,7 +497,7 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 		m.cacheLookup.Observe(time.Since(t0).Seconds())
 	}
 	if cachedRes == nil && leader == nil {
-		if m.fq.Len() >= m.fq.Cap() {
+		if m.fq.Len() >= m.cfg.QueueDepth {
 			m.rejected.Add(1)
 			return Status{}, false, ErrQueueFull
 		}
@@ -505,7 +506,7 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 		// queue, so skipping it would let a transiently failing tenant
 		// hold max_queued slots plus unbounded parked retries.
 		if tc, ok := m.tenantCfg[tenant]; ok && tc.MaxQueued > 0 {
-			if pending := m.fq.queued(tenant) + m.retryParked[tenant]; pending >= tc.MaxQueued {
+			if pending := m.fq.pending(tenant); pending >= tc.MaxQueued {
 				m.quotaRejected.Add(1)
 				return Status{}, false, fmt.Errorf("%w: %d jobs queued or awaiting retry (max %d)",
 					ErrQuotaExceeded, pending, tc.MaxQueued)
@@ -514,7 +515,8 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 	}
 	m.seq++
 	j := &job{
-		id:        fmt.Sprintf("job-%06d", m.seq),
+		seq:       m.seq,
+		id:        jobID(m.seq),
 		spec:      spec,
 		tenant:    tenant,
 		submitted: time.Now(),
@@ -556,12 +558,10 @@ func (m *Manager) SubmitTenant(spec JobSpec, tenant string) (st Status, created 
 				m.inflight[key] = j
 			}
 		}
-		// Guaranteed to succeed: pushes only happen under m.mu and the
-		// capacity check above held the lock.
-		m.fq.push(tenant, j)
+		m.fq.add(j)
 	}
 	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+	m.order = append(m.order, j)
 	if spec.IdempotencyKey != "" {
 		m.idem[spec.IdempotencyKey] = j.id
 	}
@@ -599,7 +599,7 @@ func (m *Manager) GetTenant(id, tenant string) (Status, error) {
 	return j.status(), nil
 }
 
-// List returns every job's status in stable ID order, across all
+// List returns every job's status in submission order, across all
 // tenants (the unscoped embedder's view, like Get).
 func (m *Manager) List() []Status {
 	out, _ := m.ListPage("", 0)
@@ -613,9 +613,10 @@ const (
 	maxListLimit     = 1024
 )
 
-// ListPage returns up to limit job statuses with IDs strictly after
-// `after`, in ascending ID order, plus the ID to pass as the next page's
-// cursor ("" when this page is the last). limit <= 0 selects the whole
+// ListPage returns up to limit job statuses submitted strictly after the
+// job `after` names, in submission order, plus the ID to pass as the
+// next page's cursor ("" when this page is the last). An `after` that
+// is not a job ID yields an empty page. limit <= 0 selects the whole
 // table in one page — the pre-paging behavior List still exposes.
 //
 // The critical section is deliberately short: only the page actually
@@ -628,7 +629,7 @@ func (m *Manager) ListPage(after string, limit int) (page []Status, nextAfter st
 }
 
 // ListPageTenant is ListPage through one tenant's view: only jobs the
-// tenant owns appear, while the cursor walks the same global ID order —
+// tenant owns appear, while the cursor walks the same global order —
 // a page cursor from one tenant's listing is meaningless (but harmless)
 // under another's.
 func (m *Manager) ListPageTenant(tenant, after string, limit int) (page []Status, nextAfter string) {
@@ -643,23 +644,18 @@ func (m *Manager) listPage(after string, limit int, owner *string) (page []Statu
 	if limit > maxListLimit {
 		limit = maxListLimit
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// IDs are job-%06d in submission order, so m.order is already sorted;
-	// keep the invariant checked cheaply rather than re-sorting per call.
-	if !sort.StringsAreSorted(m.order) {
-		sort.Strings(m.order)
-	}
-	lo := 0
+	page = []Status{} // never nil: an empty page serializes as []
+	n := 0
 	if after != "" {
-		lo = sort.SearchStrings(m.order, after)
-		if lo < len(m.order) && m.order[lo] == after {
-			lo++
+		var ok bool
+		if n, ok = parseJobID(after); !ok {
+			return page, ""
 		}
 	}
-	page = []Status{} // never nil: an empty page serializes as []
-	for _, id := range m.order[lo:] {
-		j := m.jobs[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	lo := sort.Search(len(m.order), func(i int) bool { return m.order[i].seq > n })
+	for _, j := range m.order[lo:] {
 		if owner != nil && j.tenant != *owner {
 			continue
 		}
@@ -700,11 +696,12 @@ func (m *Manager) cancel(id string, owner *string) (Status, error) {
 	switch j.state.phase {
 	case StateQueued:
 		j.cancelled = true
-		// Free the queue slot (and the tenant's quota headroom) now
-		// instead of when a worker pops and discards the husk. Retry-
-		// parked and follower jobs are not in the queue; remove is a no-op
-		// for them. A pending backoff timer is stopped the same way.
-		m.fq.remove(j.tenant, j)
+		// Take the job out of its lane, freeing the queue slot and the
+		// tenant's quota headroom: no worker can pop it past this point.
+		// Retry-parked and follower jobs are not in the queue; remove is
+		// a no-op for them. A pending backoff timer is stopped the same
+		// way.
+		m.fq.remove(j)
 		m.unparkRetryLocked(j)
 		m.finishLocked(j, StateCancelled, nil, nil)
 	case StateRunning:
@@ -731,37 +728,35 @@ func (m *Manager) journal(rec store.Record) {
 }
 
 // worker is the pool loop: pop, run, settle, repeat until the queue is
-// closed and drained. The running slot pop charged to the job's tenant
-// is released on every exit path from runOne — including the early
-// returns for cancelled and suspended jobs — or the lane would leak
-// quota and eventually starve. The worker owns the engines it keeps
-// between jobs: es is never shared with another goroutine.
+// closed and drained. It holds m.mu except while it waits in pop and
+// while an attempt runs, so popping a job and starting it is one
+// critical section, and so are settling it, releasing the running slot
+// pop charged to its tenant and popping the next. The slot is released
+// for a skipped job too, or the lane would leak quota and eventually
+// starve. The worker owns the engines it keeps between jobs: es is never
+// shared with another goroutine.
 func (m *Manager) worker() {
 	var es engineSet
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
 		j, ok := m.fq.pop()
 		if !ok {
 			return
 		}
-		m.runOne(&es, j)
+		// Store-backed shutdown leaves the job queued (and non-terminal
+		// in the journal) for the next process to pick up.
+		if !m.suspend.Load() {
+			m.runLocked(&es, j)
+		}
 		m.fq.release(j.tenant)
 	}
 }
 
-// runOne executes one attempt of a job on es and settles the outcome.
-func (m *Manager) runOne(es *engineSet, j *job) {
-	m.mu.Lock()
-	if j.cancelled || j.state.phase != StateQueued {
-		// Cancelled while queued; Cancel already settled the state.
-		m.mu.Unlock()
-		return
-	}
-	if m.suspend.Load() {
-		// Store-backed shutdown: leave the job queued (and non-terminal
-		// in the journal) for the next process to pick up.
-		m.mu.Unlock()
-		return
-	}
+// runLocked starts one attempt of a just-popped job (queued → running),
+// runs it on es and settles the outcome. Caller holds m.mu; runLocked
+// releases it while the attempt runs and holds it again on return.
+func (m *Manager) runLocked(es *engineSet, j *job) {
 	j.attempt++
 	attempt := j.attempt
 	timeout := m.cfg.DefaultTimeout
@@ -787,7 +782,8 @@ func (m *Manager) runOne(es *engineSet, j *job) {
 	m.activeWorkers.Add(-1)
 	cancel()
 
-	m.settle(j, res, err)
+	m.mu.Lock()
+	m.settleLocked(j, res, err)
 }
 
 // execOptions wires the durability hooks of one attempt: progress probe,
@@ -836,11 +832,10 @@ func (m *Manager) execOptions(j *job) ExecOptions {
 	return eo
 }
 
-// settle records the outcome of one attempt: done, cancelled, suspended
-// for the next process, requeued for retry, or failed for good.
-func (m *Manager) settle(j *job, res Result, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// settleLocked records the outcome of one attempt: done, cancelled,
+// suspended for the next process, requeued for retry, or failed for
+// good. Caller holds m.mu.
+func (m *Manager) settleLocked(j *job, res Result, err error) {
 	j.state.cancel = nil
 	j.state.probe = nil
 
@@ -957,9 +952,9 @@ func (m *Manager) finishLocked(j *job, phase State, res *Result, err error) {
 // requeueLocked is the only edge from running back to queued on a
 // transient failure: it parks the job behind its backoff timer, or fails
 // it when the attempt budget is spent. Parking clears the failed
-// attempt's start stamp and charges the job to its tenant's
-// retry-parked count, so the MaxQueued quota keeps seeing it while it
-// holds no lane slot. Caller holds m.mu.
+// attempt's start stamp and counts the job as parked in its tenant's
+// lane, so the MaxQueued quota keeps seeing it while it holds no lane
+// slot. Caller holds m.mu.
 func (m *Manager) requeueLocked(j *job, cause error) {
 	if j.attempt >= m.cfg.MaxAttempts {
 		m.finishLocked(j, StateFailed, nil, fmt.Errorf("server: %d attempts exhausted: %w", j.attempt, cause))
@@ -973,7 +968,7 @@ func (m *Manager) requeueLocked(j *job, cause error) {
 	j.state.started = time.Time{}
 	j.state.err = cause
 	m.retries.Add(1)
-	m.retryParked[j.tenant]++
+	m.fq.lane(j.tenant).parked++
 	delay := retryDelay(m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay, j.attempt, j.id)
 	m.retryTimers[j.id] = time.AfterFunc(delay, func() {
 		m.mu.Lock()
@@ -982,11 +977,10 @@ func (m *Manager) requeueLocked(j *job, cause error) {
 	})
 }
 
-// unparkRetryLocked stops and forgets j's backoff timer and refunds its
-// slot in the tenant's retry-parked count, reporting whether j was
-// parked. Idempotent: a job no longer parked refunds nothing, so a fired
-// timer racing a Cancel or Shutdown cannot double-refund the quota.
-// Caller holds m.mu.
+// unparkRetryLocked stops and forgets j's backoff timer and takes it off
+// its lane's parked count, reporting whether j was parked. Idempotent: a
+// job no longer parked refunds nothing, so a fired timer racing a Cancel
+// or Shutdown cannot double-refund the quota. Caller holds m.mu.
 func (m *Manager) unparkRetryLocked(j *job) bool {
 	t, ok := m.retryTimers[j.id]
 	if !ok {
@@ -994,7 +988,7 @@ func (m *Manager) unparkRetryLocked(j *job) bool {
 	}
 	t.Stop()
 	delete(m.retryTimers, j.id)
-	m.retryParked[j.tenant]--
+	m.fq.lane(j.tenant).parked--
 	return true
 }
 
@@ -1019,7 +1013,7 @@ func (m *Manager) readmitLocked(j *job) bool {
 	if m.closed {
 		return false
 	}
-	m.fq.readmit(j)
+	m.fq.add(j)
 	return true
 }
 
@@ -1157,7 +1151,7 @@ func (m *Manager) Recovering() bool {
 // the recovered backlog is seen to fit the queue bound, and reports the
 // flag. Caller holds m.mu.
 func (m *Manager) recoveringLocked() bool {
-	if m.recovering && m.fq.Len() <= m.fq.Cap() {
+	if m.recovering && m.fq.Len() <= m.cfg.QueueDepth {
 		m.recovering = false
 	}
 	return m.recovering

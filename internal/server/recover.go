@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 
 	"hmcsim/internal/ckey"
 	"hmcsim/internal/server/cache"
@@ -17,7 +16,7 @@ import (
 // Locked helpers without taking m.mu). The reduction over the record
 // stream is:
 //
-//	submitted            -> the job exists, queued
+//	submitted            -> the job exists, queued, numbered by its ID
 //	started              -> attempt counter advances
 //	checkpoint           -> nothing (the blob's presence is the signal)
 //	done                 -> terminal; result reloaded from the blob store
@@ -25,9 +24,12 @@ import (
 //	failed (final)       -> terminal
 //	cancelled            -> terminal
 //
-// Any job that finishes the reduction still queued was interrupted by
-// the crash (or journaled as retryable) and is readmitted to the queue
-// in its original submission order. A done record whose result blob
+// Submissions are journaled in number order, so a submitted record whose
+// ID does not parse, or whose number is not past every earlier one (a
+// duplicate), is skipped, and the table comes out in number order. Any
+// job that finishes the reduction still queued was interrupted by the
+// crash (or journaled as retryable) and is readmitted to the queue in
+// its original submission order. A done record whose result blob
 // will not load degrades to queued: the job reruns, which is safe
 // because execution is deterministic.
 func (m *Manager) recoverFromJournal() {
@@ -40,14 +42,17 @@ func (m *Manager) recoverFromJournal() {
 		}
 		switch rec.Type {
 		case store.RecSubmitted:
-			if j != nil {
-				continue // duplicate ID; keep the first
+			n, ok := parseJobID(rec.Job)
+			if !ok || n <= m.seq {
+				continue // not an ID this manager issues, or a duplicate
 			}
+			m.seq = n // issued, so never issued again
 			var spec JobSpec
 			if err := json.Unmarshal(rec.Spec, &spec); err != nil {
 				continue // unreadable spec cannot be rerun
 			}
 			j = &job{
+				seq:       n,
 				id:        rec.Job,
 				spec:      spec,
 				tenant:    rec.Tenant,
@@ -55,13 +60,9 @@ func (m *Manager) recoverFromJournal() {
 				state:     state{phase: StateQueued},
 			}
 			m.jobs[j.id] = j
-			m.order = append(m.order, j.id)
+			m.order = append(m.order, j)
 			if rec.Key != "" {
 				m.idem[rec.Key] = j.id
-			}
-			var n int
-			if _, err := fmt.Sscanf(rec.Job, "job-%06d", &n); err == nil && n > m.seq {
-				m.seq = n
 			}
 		case store.RecStarted:
 			if rec.Attempt > j.attempt {
@@ -101,8 +102,8 @@ func (m *Manager) recoverFromJournal() {
 			j.state.finished = rec.Time
 		}
 	}
-	for _, id := range m.order {
-		if j := m.jobs[id]; j.state.phase == StateQueued {
+	for _, j := range m.order {
+		if j.state.phase == StateQueued {
 			// Recovered jobs run as independent submissions — replay does
 			// not re-coalesce identical pending specs (each was separately
 			// journaled and owes its own completion record) — but they

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hmcsim/internal/core"
+	"hmcsim/internal/store"
 )
 
 // TestShutdownSettlesPendingRetry is the regression test for the
@@ -230,5 +231,127 @@ func TestListPaging(t *testing.T) {
 	}
 	if e.Code != "bad_request" {
 		t.Errorf("limit=abc: code %q, want bad_request", e.Code)
+	}
+
+	// So is a malformed cursor.
+	rsp, err = http.Get(srv.URL + "/v1/jobs?after=abc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsp.Body.Close()
+	if rsp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("after=abc: HTTP %d, want 400", rsp.StatusCode)
+	}
+	if err := json.NewDecoder(rsp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != "bad_request" {
+		t.Errorf("after=abc: code %q, want bad_request", e.Code)
+	}
+}
+
+// submitPastSixDigits numbers m's next three jobs job-999999,
+// job-1000000 and job-1000001, runs them to done and returns their IDs.
+func submitPastSixDigits(t *testing.T, m *Manager) []string {
+	t.Helper()
+	m.mu.Lock()
+	m.seq = 999998
+	m.mu.Unlock()
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st, err := m.Submit(testSpec(fmt.Sprintf("seven-digits-%d", i), core.Table1Configs()[0], 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+		if st := waitTerminal(t, m, st.ID); st.State != StateDone {
+			t.Fatalf("%s settled %s (%s)", st.ID, st.State, st.Error)
+		}
+	}
+	if want := []string{"job-999999", "job-1000000", "job-1000001"}; strings.Join(ids, " ") != strings.Join(want, " ") {
+		t.Fatalf("issued %v, want %v", ids, want)
+	}
+	return ids
+}
+
+// TestListPastSixDigitJobIDs pins listing order and paging once job
+// numbers outgrow six digits: the list stays in submission order, and a
+// cursor at job-999999 resumes at job-1000000 instead of ending the walk.
+func TestListPastSixDigitJobIDs(t *testing.T) {
+	m := NewManager(ManagerConfig{
+		Workers: 1, QueueDepth: 4,
+		runFn: func(ctx context.Context, spec JobSpec, _ ExecOptions) (Result, error) {
+			return Result{Cycles: 1, Sent: spec.Requests}, nil
+		},
+	})
+	defer shutdownNow(t, m)
+	ids := submitPastSixDigits(t, m)
+
+	var listed []string
+	for _, st := range m.List() {
+		listed = append(listed, st.ID)
+	}
+	if strings.Join(listed, " ") != strings.Join(ids, " ") {
+		t.Errorf("List() = %v, want submission order %v", listed, ids)
+	}
+	for _, tc := range []struct{ after, want, next string }{
+		{ids[0], ids[1], ids[1]},
+		{ids[1], ids[2], ""},
+	} {
+		page, next := m.ListPage(tc.after, 1)
+		if len(page) != 1 || page[0].ID != tc.want || next != tc.next {
+			t.Errorf("ListPage(%q, 1) = %d jobs, cursor %q; want [%s], cursor %q",
+				tc.after, len(page), next, tc.want, tc.next)
+		}
+	}
+}
+
+// TestRestartPastSixDigitJobIDs pins recovery's reading of seven-digit
+// job numbers: the next ID after a restart is past every recovered one,
+// so a fresh submission never replaces a recovered job.
+func TestRestartPastSixDigitJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ManagerConfig{
+		Workers: 1, QueueDepth: 4,
+		runFn: func(ctx context.Context, spec JobSpec, _ ExecOptions) (Result, error) {
+			return Result{Config: spec.Name, Cycles: 1, Sent: spec.Requests}, nil
+		},
+	}
+	s := openStore(t, dir)
+	cfg.Store = s
+	m := NewManager(cfg)
+	ids := submitPastSixDigits(t, m)
+	shutdownNow(t, m)
+	s.Close()
+
+	s2 := openStore(t, dir)
+	defer s2.Close()
+	cfg.Store = s2
+	m = NewManager(cfg)
+	defer shutdownNow(t, m)
+	st, err := m.Submit(testSpec("after-restart", core.Table1Configs()[0], 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "job-1000002" {
+		t.Errorf("next ID after restart = %s, want job-1000002", st.ID)
+	}
+	for i, id := range ids {
+		got, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("seven-digits-%d", i); got.State != StateDone || got.Result == nil || got.Result.Config != want {
+			t.Errorf("%s after restart: %s, result %+v; want done with result %q", id, got.State, got.Result, want)
+		}
+	}
+	submitted := 0
+	for _, rec := range s2.Records() {
+		if rec.Type == store.RecSubmitted && rec.Job == ids[1] {
+			submitted++
+		}
+	}
+	if submitted != 1 {
+		t.Errorf("journal holds %d submitted records for %s, want 1", submitted, ids[1])
 	}
 }

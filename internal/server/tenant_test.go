@@ -470,18 +470,18 @@ func TestTenantQuotaCountsRetryParked(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		m.mu.Lock()
-		parked := m.retryParked["alice"]
+		parked, queued := m.fq.lanes["alice"].parked, len(m.fq.lanes["alice"].jobs)
 		m.mu.Unlock()
 		if parked == 1 {
+			if queued != 0 {
+				t.Fatalf("parked job still occupies a lane slot")
+			}
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("job never parked on its retry timer")
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	if m.fq.queued("alice") != 0 {
-		t.Fatalf("parked job still occupies a lane slot")
 	}
 	if _, _, err := m.SubmitTenant(testSpec("second", cfg, 8), "alice"); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("submit while a retry is parked: err = %v, want ErrQuotaExceeded", err)
