@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench bench-pair bench-smoke serve serve-pprof metrics-smoke crash-smoke fabric-smoke skip-smoke cache-smoke sse-smoke table1 fig5 faults examples vet fmt clean
+.PHONY: all build test test-race race bench bench-pair bench-smoke serve serve-pprof metrics-smoke crash-smoke fabric-smoke skip-smoke cache-smoke sse-smoke table1 fig5 faults vet fmt clean
 
 all: vet test build
 
@@ -133,9 +133,6 @@ fig5:
 
 faults:
 	$(GO) run ./cmd/hmcsim-faults
-
-examples:
-	for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 clean:
 	$(GO) clean ./...

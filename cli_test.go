@@ -35,14 +35,15 @@ func runTool(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
-// TestExampleGoldens pins the two examples that regenerate
-// EXPERIMENTS.md's DDR-contrast and CPI tables: their default-flag
-// output must equal the goldens under testdata/.
+// TestExampleGoldens pins every example: each regenerates a documented
+// result (Figure 4's API sequence, Figure 1's chained ring, and
+// EXPERIMENTS.md's page-placement, DDR-contrast and CPI tables), and
+// its default-flag output must equal its golden under testdata/.
 func TestExampleGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	for _, name := range []string{"cpi", "ddrcompare"} {
+	for _, name := range []string{"quickstart", "chained", "vmstudy", "cpi", "ddrcompare"} {
 		t.Run(name, func(t *testing.T) {
 			got := runTool(t, buildTool(t, "./examples/"+name))
 			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
@@ -171,32 +172,44 @@ func TestCLIFig5All(t *testing.T) {
 	}
 }
 
+// TestCLIRepro pins REPORT.md: rerunning the command line the report
+// names must reproduce it byte for byte, apart from its wall-clock line.
 func TestCLIRepro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	dir := t.TempDir()
-	report := filepath.Join(dir, "REPORT.md")
+	report := filepath.Join(t.TempDir(), "REPORT.md")
 	bin := buildTool(t, "./cmd/hmcsim-repro")
-	out := runTool(t, bin, "-requests", "16384", "-out", report)
-	if !strings.Contains(out, "wrote") {
-		t.Fatalf("repro output:\n%s", out)
-	}
-	data, err := os.ReadFile(report)
+	runTool(t, bin, "-requests", "262144", "-seed", "1", "-out", report)
+	got, err := os.ReadFile(report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{
-		"# HMC-Sim reproduction report",
-		"## Table I",
-		"## Figure 5",
-		"link selection",
-		"fault rate",
-	} {
-		if !strings.Contains(string(data), frag) {
-			t.Errorf("report missing %q", frag)
+	want, err := os.ReadFile("REPORT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := reportLines(string(got)), reportLines(string(want))
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("report differs from REPORT.md at line %d:\n got: %q\nwant: %q", i+1, g[i], w[i])
 		}
 	}
+	if len(g) != len(w) {
+		t.Fatalf("report has %d lines, REPORT.md %d", len(g), len(w))
+	}
+}
+
+// reportLines splits a report into lines with the wall-clock line, the
+// one line that varies from run to run, masked.
+func reportLines(s string) []string {
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "Wall-clock time") {
+			lines[i] = "Wall-clock time: masked"
+		}
+	}
+	return lines
 }
 
 func TestCLIFaultsDeterministic(t *testing.T) {

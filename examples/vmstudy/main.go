@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	requests := flag.Uint64("requests", 1<<17, "memory requests per run")
+	requests := flag.Uint64("requests", 1<<16, "memory requests per run")
 	vaBytes := flag.Uint64("va-bytes", 256<<20, "virtual working set size")
 	flag.Parse()
 

@@ -74,7 +74,8 @@ func (h *Histogram) Mean() float64 {
 
 // Percentile returns an upper bound for the p-th percentile (p in [0,100])
 // at bucket resolution: the upper edge of the bucket containing the p-th
-// observation.
+// observation, clamped to the largest observation so no percentile
+// exceeds Max.
 func (h *Histogram) Percentile(p float64) uint64 {
 	if h.count == 0 {
 		return 0
@@ -96,7 +97,7 @@ func (h *Histogram) Percentile(p float64) uint64 {
 			if i == 0 {
 				return 0
 			}
-			return 1<<uint(i) - 1
+			return min(1<<uint(i)-1, h.max)
 		}
 	}
 	return h.max

@@ -62,9 +62,18 @@ func TestHistogramPropertyPercentileIsUpperBound(t *testing.T) {
 				max = uint64(v)
 			}
 		}
-		// Percentile reports bucket upper edges: p100 bounds the max, and
-		// percentiles are monotone in p.
-		return h.Percentile(100) >= max && h.Percentile(0) <= h.Percentile(100)
+		// Percentile reports bucket upper edges clamped to the max: p100
+		// is the max, no percentile exceeds it, and percentiles are
+		// monotone in p.
+		if h.Percentile(100) != max || h.Percentile(0) > h.Percentile(100) {
+			return false
+		}
+		for p := -1.0; p <= 101; p += 0.5 {
+			if h.Percentile(p) > h.Max() {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
