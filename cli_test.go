@@ -3,26 +3,54 @@ package hmcsim_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 )
 
+// tools caches the binaries buildTool links, by package path, in one
+// directory that TestMain creates and removes, so each CLI is built once
+// per run however many tests drive it.
+var tools struct {
+	mu   sync.Mutex
+	dir  string
+	bins map[string]string
+}
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "hmcsim-tools-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	tools.dir, tools.bins = dir, make(map[string]string)
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
 // buildTool compiles the main package at pkg (./cmd/X, ./examples/X)
-// into the test temp dir.
+// on its first call and returns the cached binary after that.
 func buildTool(t *testing.T, pkg string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
-	cmd := exec.Command("go", "build", "-o", bin, pkg)
-	out, err := cmd.CombinedOutput()
+	tools.mu.Lock()
+	defer tools.mu.Unlock()
+	if bin, ok := tools.bins[pkg]; ok {
+		return bin
+	}
+	bin := filepath.Join(tools.dir, strings.ReplaceAll(strings.TrimPrefix(pkg, "./"), "/", "-"))
+	out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 	}
+	tools.bins[pkg] = bin
 	return bin
 }
 
@@ -37,13 +65,13 @@ func runTool(t *testing.T, bin string, args ...string) string {
 
 // TestExampleGoldens pins every example: each regenerates a documented
 // result (Figure 4's API sequence, Figure 1's chained ring, and
-// EXPERIMENTS.md's page-placement, DDR-contrast and CPI tables), and
-// its default-flag output must equal its golden under testdata/.
+// EXPERIMENTS.md's page-placement table), and its default-flag output
+// must equal its golden under testdata/.
 func TestExampleGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	for _, name := range []string{"quickstart", "chained", "vmstudy", "cpi", "ddrcompare"} {
+	for _, name := range []string{"quickstart", "chained", "vmstudy"} {
 		t.Run(name, func(t *testing.T) {
 			got := runTool(t, buildTool(t, "./examples/"+name))
 			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))

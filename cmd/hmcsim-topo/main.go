@@ -124,8 +124,8 @@ func main() {
 	roots := t.Roots()
 	drv, err := host.NewDriver(h, host.Options{
 		Dev: roots[0],
-		DestCube: func(a workload.Access) int {
-			return int(a.Addr>>12) % t.NumDevs()
+		Route: func(a workload.Access) (int, uint64) {
+			return int(a.Addr>>12) % t.NumDevs(), a.Addr
 		},
 	})
 	if err != nil {

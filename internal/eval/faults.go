@@ -139,7 +139,7 @@ func runCampaignCell(cfg core.Config, opts CampaignOpts, pt CampaignPoint) (host
 		// Traffic spreads over the ring: the destination cube derives
 		// deterministically from the access address, injection stays on
 		// device 0's host links.
-		dopts.DestCube = func(a workload.Access) int { return int(a.Addr>>6) % devs }
+		dopts.Route = func(a workload.Access) (int, uint64) { return int(a.Addr>>6) % devs, a.Addr }
 	default:
 		return host.Result{}, fmt.Errorf("unknown campaign topology %q", opts.Topology)
 	}

@@ -34,14 +34,12 @@ type Options struct {
 	// Select chooses the injection link per access; nil selects simple
 	// round-robin across the device's host links.
 	Select workload.LinkSelector
-	// DestCube maps an access to a destination cube ID; nil sends
-	// everything to Dev (the directly attached device).
-	DestCube func(workload.Access) int
 	// Route, when non-nil, maps an access to both a destination cube and
 	// the cube-local address the request carries — the fabric layer's
-	// address-interleave hook. It takes precedence over DestCube. The
-	// function must be pure: a resumed run replays it against the
-	// regenerated access stream.
+	// address-interleave hook. nil sends every access to Dev (the
+	// directly attached device) at its own address. The function must be
+	// pure: a resumed run replays it against the regenerated access
+	// stream.
 	Route func(a workload.Access) (cube int, addr uint64)
 	// Posted issues writes as posted requests (no responses).
 	Posted bool
@@ -117,7 +115,7 @@ type Result struct {
 	// RemoteLatency is the round-trip latency distribution restricted to
 	// requests whose destination cube was not the injection device —
 	// traffic that crossed at least one inter-cube link each way. Empty
-	// unless a DestCube/Route hook steered traffic off-cube.
+	// unless a Route hook steered traffic off-cube.
 	RemoteLatency stats.Histogram
 	// VaultOccupancy and XbarOccupancy are per-cycle queue censuses
 	// (request direction), recorded when Options.SampleOccupancy is set.
@@ -527,8 +525,6 @@ func (d *Driver) send(a *workload.Access) (id uint64, ok bool, err error) {
 		cube, addr := d.opts.Dev, a.Addr
 		if d.opts.Route != nil {
 			cube, addr = d.opts.Route(*a)
-		} else if d.opts.DestCube != nil {
-			cube = d.opts.DestCube(*a)
 		}
 
 		var cmd packet.Command
@@ -584,15 +580,15 @@ func (d *Driver) send(a *workload.Access) (id uint64, ok bool, err error) {
 	}
 }
 
-// requestID is the ID the Memory face reports for the request holding
+// requestID is the ID Issue and Tick report for the request holding
 // tag on link.
 func requestID(link int, tag uint16) uint64 { return uint64(link)<<16 | uint64(tag) }
 
-// Issue sends a as one request — the memory interface of the processor
-// model (cpu.Memory), with Options.Posted, Select, DestCube and Route
-// applied as in Run — and returns its link<<16 | tag ID. ok is false
-// when the request stalls, or after an error, which the next Tick
-// returns.
+// Issue sends a as one request, with Options.Posted, Select and Route
+// applied as in Run, and returns its link<<16 | tag ID. Issue and Tick
+// are the driver's step interface: a caller issues until Issue refuses,
+// then ticks. ok is false when the request stalls, or after an error,
+// which the next Tick returns.
 func (d *Driver) Issue(a workload.Access) (id uint64, ok bool) {
 	if d.issueErr != nil {
 		return 0, false
@@ -619,10 +615,6 @@ func (d *Driver) Tick() ([]uint64, error) {
 	_, _, err := d.drain(nil)
 	return d.ids, err
 }
-
-// OutstandingLimit is the tag space of the injection device's host
-// links, the Memory face's bound on requests in flight.
-func (d *Driver) OutstandingLimit() int { return len(d.hostLinks) * (packet.MaxTag + 1) }
 
 // drain receives every waiting response on every host link, recording
 // latencies into res and counting error responses. A nil res is Tick's:

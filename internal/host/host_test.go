@@ -183,8 +183,8 @@ func TestDriverChainedDevices(t *testing.T) {
 	// Spread traffic across all three devices by address.
 	d, err := NewDriver(h, Options{
 		Dev: 0,
-		DestCube: func(a workload.Access) int {
-			return int(a.Addr>>20) % 3
+		Route: func(a workload.Access) (int, uint64) {
+			return int(a.Addr>>20) % 3, a.Addr
 		},
 	})
 	if err != nil {
@@ -243,7 +243,7 @@ func TestDriverErrorResponsesCounted(t *testing.T) {
 		_ = h.ConnectHost(0, l)
 	}
 	// All traffic addressed to unreachable device 1.
-	d, err := NewDriver(h, Options{DestCube: func(workload.Access) int { return 1 }})
+	d, err := NewDriver(h, Options{Route: func(a workload.Access) (int, uint64) { return 1, a.Addr }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestDriverTwoRoots(t *testing.T) {
 		}
 		d, err := host.NewDriver(h, host.Options{
 			GapCycles: gap,
-			DestCube:  func(a workload.Access) int { return int(a.Addr>>12) % 2 },
+			Route:     func(a workload.Access) (int, uint64) { return int(a.Addr>>12) % 2, a.Addr },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -179,8 +179,8 @@ func TestResetEqualsNewDriver(t *testing.T) {
 				t.Helper()
 				rewire()
 				dopts := host.Options{
-					Dev:      ropts.Dev,
-					DestCube: func(a workload.Access) int { return int(a.Addr>>6) % 2 },
+					Dev:   ropts.Dev,
+					Route: func(a workload.Access) (int, uint64) { return int(a.Addr>>6) % 2, a.Addr },
 				}
 				dopts.Interrupt = func() error {
 					if o, q, r := host.DirtyState(rd); o > 0 && q && r > 0 && rh.Clk() >= 50 {
