@@ -13,6 +13,9 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+
+	"hmcsim/internal/core"
+	"hmcsim/internal/eval"
 )
 
 // tools caches the binaries buildTool links, by package path, in one
@@ -64,14 +67,13 @@ func runTool(t *testing.T, bin string, args ...string) string {
 }
 
 // TestExampleGoldens pins every example: each regenerates a documented
-// result (Figure 4's API sequence, Figure 1's chained ring, and
-// EXPERIMENTS.md's page-placement table), and its default-flag output
-// must equal its golden under testdata/.
+// result (Figure 4's API sequence and Figure 1's chained ring), and its
+// default-flag output must equal its golden under testdata/.
 func TestExampleGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build in -short mode")
 	}
-	for _, name := range []string{"quickstart", "chained", "vmstudy"} {
+	for _, name := range []string{"quickstart", "chained"} {
 		t.Run(name, func(t *testing.T) {
 			got := runTool(t, buildTool(t, "./examples/"+name))
 			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
@@ -113,8 +115,8 @@ func TestCLIRandTraceTraceAnalyzerPipeline(t *testing.T) {
 	csvPath := filepath.Join(dir, "fig5.csv")
 
 	rand := buildTool(t, "./cmd/hmcsim-rand")
-	out := runTool(t, rand, "-requests", "5000", "-trace", tracePath, "-trace-level", "all", "-energy", "-bw")
-	for _, frag := range []string{"simulated runtime", "bank conflicts", "pJ/bit", "GB/s"} {
+	out := runTool(t, rand, "-requests", "5000", "-trace", tracePath, "-trace-level", "all")
+	for _, frag := range []string{"simulated runtime", "bank conflicts"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("rand output missing %q:\n%s", frag, out)
 		}
@@ -164,6 +166,28 @@ func TestCLIRandRecordReplay(t *testing.T) {
 	}
 	if line(out1) != line(out2) {
 		t.Errorf("replay diverged:\n%s\n%s", line(out1), line(out2))
+	}
+}
+
+// TestCLIRandBlockMatchesAblation checks that hmcsim-rand -block N runs
+// on the map block the block-size ablation uses for N > 64 (a 128-byte
+// map under 128-byte requests), so both report the same cycle count.
+func TestCLIRandBlockMatchesAblation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build in -short mode")
+	}
+	const n = 16384
+	rows, err := eval.BlockSizeSweep(core.Table1Configs()[0], []int{64, 128}, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand := buildTool(t, "./cmd/hmcsim-rand")
+	for _, r := range rows {
+		out := runTool(t, rand, "-block", fmt.Sprint(r.Value), "-requests", fmt.Sprint(n))
+		want := fmt.Sprintf("simulated runtime: %d clock cycles (%.2f req/cycle)", r.Result.Cycles, r.Result.Throughput())
+		if !strings.Contains(out, want) {
+			t.Errorf("-block %d: want %q (the ablation's row), got:\n%s", r.Value, want, out)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"hmcsim/internal/eval"
 	"hmcsim/internal/fault"
 	"hmcsim/internal/host"
-	"hmcsim/internal/power"
 	"hmcsim/internal/trace"
 	"hmcsim/internal/workload"
 )
@@ -42,8 +41,6 @@ func main() {
 	traceLevel := flag.String("trace-level", "perf", "trace verbosity: none, stalls, perf or all")
 	replay := flag.String("replay", "", "drive the run from this address-trace file instead of the random generator")
 	record := flag.String("record", "", "record the generated workload to this address-trace file")
-	bw := flag.Bool("bw", false, "print the per-link bandwidth utilization report (10 Gbps lanes, 1.25 GHz clock)")
-	energy := flag.Bool("energy", false, "print the activity-based energy estimate (HMC default parameters)")
 	faultTransient := flag.Int("fault-transient", 0, "transient link-fault rate in PPM (CRC-corrupt FLITs, retried transparently)")
 	faultLinkFail := flag.Int("fault-linkfail", 0, "permanent link-failure rate in PPM")
 	faultVault := flag.Int("fault-vault", 0, "vault fault rate in PPM (poisoned reads)")
@@ -52,10 +49,17 @@ func main() {
 	failLinks := flag.String("fail-link", "", "comma-separated dev:link endpoints failed from reset")
 	flag.Parse()
 
+	// A 128-byte request gets a 128-byte map block: under a 64-byte map,
+	// 128-byte-aligned addresses never set the lowest vault bit, so half
+	// the vaults would sit idle.
+	mapBlock := 64
+	if *block > 64 {
+		mapBlock = 128
+	}
 	cfg := core.Config{
 		NumDevs: 1, NumLinks: *links, NumVaults: 4 * *links,
 		QueueDepth: *queueDepth, NumBanks: *banks, NumDRAMs: 20,
-		CapacityGB: *capacity, XbarDepth: *xbarDepth, BlockSize: 64,
+		CapacityGB: *capacity, XbarDepth: *xbarDepth, BlockSize: mapBlock,
 	}
 	cfg.Fault = fault.Config{
 		TransientPPM: *faultTransient,
@@ -199,30 +203,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("recorded %d accesses to %s\n", len(rec.Log), *record)
-	}
-
-	if *energy {
-		rep, err := power.Estimate(h, power.HMCDefaults(), 1.25)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nenergy: %s\n", rep.String())
-		fmt.Printf("        (DDR3 modules are commonly quoted at ~%.0f pJ/bit)\n", power.DDR3PJPerBit)
-	}
-
-	if *bw {
-		rate := core.Rate10Gbps
-		rep, err := h.Bandwidth(rate, 1.25)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nbandwidth @ %v Gbps lanes, 1.25 GHz clock (capacity %.0f GB/s/link, %.0f GB/s device):\n",
-			float64(rate), core.LinkBandwidthGBs(rate, core.LanesPerLink), rep.DeviceGBs)
-		for _, l := range rep.Links {
-			fmt.Printf("  dev %d link %d: %8d req flits  %8d rsp flits  %7.2f GB/s achieved (%.0f%% of link)\n",
-				l.Dev, l.Link, l.ReqFlits, l.RspFlits, l.AchievedGBs, 100*l.Utilization)
-		}
-		fmt.Printf("  total achieved: %.2f GB/s\n", rep.TotalGBs)
 	}
 }
 

@@ -158,54 +158,3 @@ func (m *Default) String() string {
 		int(m.offBits+m.vaultBits)-1, int(m.offBits),
 		int(m.offBits)-1)
 }
-
-// HighInterleave is an alternative map that places the bank and vault bits
-// in the most significant positions:
-//
-//	[ vault ][ bank ][ DRAM block ][ block offset ]
-//
-// Sequential addresses stay within a single vault and bank, maximizing
-// locality (and bank conflicts) instead of parallelism. It exists as the
-// contrast case for interleave experiments.
-type HighInterleave struct {
-	numVaults, numBanks, blockSize, addrBits int
-	offBits, vaultBits, bankBits             uint
-}
-
-// NewHighInterleave constructs a high-interleave map with the same
-// parameter constraints as NewDefault.
-func NewHighInterleave(numVaults, numBanks, blockSize, capacityGB int) (*HighInterleave, error) {
-	d, err := NewDefault(numVaults, numBanks, blockSize, capacityGB)
-	if err != nil {
-		return nil, err
-	}
-	return &HighInterleave{
-		numVaults: d.numVaults, numBanks: d.numBanks,
-		blockSize: d.blockSize, addrBits: d.addrBits,
-		offBits: d.offBits, vaultBits: d.vaultBits, bankBits: d.bankBits,
-	}, nil
-}
-
-// Decode implements Mapper.
-func (m *HighInterleave) Decode(a uint64) Decoded {
-	a &= 1<<uint(m.addrBits) - 1
-	dramBits := uint(m.addrBits) - m.vaultBits - m.bankBits - m.offBits
-	off := a & (1<<m.offBits - 1)
-	blk := a & (1<<(dramBits+m.offBits) - 1)
-	bank := int(a >> (dramBits + m.offBits) & (1<<m.bankBits - 1))
-	vault := int(a >> (dramBits + m.offBits + m.bankBits) & (1<<m.vaultBits - 1))
-	return Decoded{Vault: vault, Bank: bank, DRAM: blk >> 4, Off: off}
-}
-
-// Encode implements Mapper.
-func (m *HighInterleave) Encode(d Decoded) uint64 {
-	dramBits := uint(m.addrBits) - m.vaultBits - m.bankBits - m.offBits
-	blk := d.DRAM << 4 & (1<<(dramBits+m.offBits) - 1)
-	a := uint64(d.Vault) & (1<<m.vaultBits - 1)
-	a = a<<m.bankBits | uint64(d.Bank)&(1<<m.bankBits-1)
-	a = a<<(dramBits+m.offBits) | blk
-	return a & (1<<uint(m.addrBits) - 1)
-}
-
-// AddrBits implements Mapper.
-func (m *HighInterleave) AddrBits() int { return m.addrBits }

@@ -161,53 +161,6 @@ func TestDecodeBijectionOverCoordinates(t *testing.T) {
 	}
 }
 
-func TestHighInterleaveOrdering(t *testing.T) {
-	m, err := NewHighInterleave(16, 8, 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sequential addresses must stay within vault 0, bank 0 until the DRAM
-	// space of that bank is exhausted.
-	for i := 0; i < 1024; i++ {
-		d := m.Decode(uint64(i) * 64)
-		if d.Vault != 0 || d.Bank != 0 {
-			t.Fatalf("block %d: vault=%d bank=%d, want 0,0", i, d.Vault, d.Bank)
-		}
-	}
-	// The top addresses land in the last vault.
-	top := uint64(1)<<uint(m.AddrBits()) - 64
-	d := m.Decode(top)
-	if d.Vault != 15 {
-		t.Errorf("top address vault = %d, want 15", d.Vault)
-	}
-}
-
-func TestHighInterleaveRoundTrip(t *testing.T) {
-	m, err := NewHighInterleave(32, 16, 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := uint64(1)<<uint(m.AddrBits()) - 1
-	f := func(raw uint64) bool {
-		a := raw & mask &^ 0xF
-		return m.Encode(m.Decode(a)) == a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDefaultAndHighInterleaveCoverSameSpace(t *testing.T) {
-	lo := mustDefault(t, 16, 8, 64, 2)
-	hi, err := NewHighInterleave(16, 8, 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo.AddrBits() != hi.AddrBits() {
-		t.Errorf("address widths differ: %d vs %d", lo.AddrBits(), hi.AddrBits())
-	}
-}
-
 func TestBlockSizeChangesVaultStride(t *testing.T) {
 	// With a 32-byte block map, vaults rotate every 32 bytes; with 256-byte
 	// blocks, every 256 bytes.

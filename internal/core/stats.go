@@ -13,8 +13,7 @@ type Stats struct {
 	Modes   uint64 // MODE_READ / MODE_WRITE register accesses
 
 	// BytesRead and BytesWritten count the data payload bytes moved by
-	// vault service (read response data and write/atomic request data),
-	// for bandwidth and energy accounting.
+	// vault service (read response data and write/atomic request data).
 	BytesRead    uint64
 	BytesWritten uint64
 	// ColumnFetches counts 32-byte column accesses at the banks: "read or

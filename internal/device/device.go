@@ -127,8 +127,7 @@ type Link struct {
 	// adjusted by PRET/TRET flow packets.
 	Tokens int
 	// ReqFlits counts request FLITs received on this link end (inbound
-	// traffic from the host or a chained device), for bandwidth
-	// utilization analysis.
+	// traffic from the host or a chained device).
 	ReqFlits uint64
 	// RspFlits counts response FLITs transmitted from this link end
 	// (outbound traffic toward the host).
