@@ -14,7 +14,13 @@
 //   - crossbar/vault request queues hold only request packets, response
 //     queues only response packets
 //   - packets in a vault's request queue actually decode to that vault,
-//     and a bank cached in their slot is the bank they decode to
+//     and a bank cached in their slot's tag is the bank they decode to
+//   - every slot within a queue's length holds a packet, and every slot
+//     past it holds no packet and a zero tag
+//   - no packet is held twice — by two slots, or by a slot and a
+//     link-retry buffer — since its arrival clock and retry count
+//     describe its stay in one place
+//   - no packet's arrival clock is later than the device clock
 //   - source link IDs fit the device's link range
 //   - destination cube IDs are devices or the host
 //   - the engine's occupancy index says exactly what a scan of the queues
@@ -27,6 +33,7 @@ import (
 	"fmt"
 
 	"hmcsim/internal/core"
+	"hmcsim/internal/packet"
 	"hmcsim/internal/queue"
 )
 
@@ -34,27 +41,32 @@ import (
 // violation found, or nil.
 func Verify(h *core.HMC) error {
 	cfg := h.Config()
+	a := auditor{cfg: cfg, clk: h.Clk(), held: make(map[*packet.Packet]string)}
 	for cube := 0; cube < cfg.NumDevs; cube++ {
 		d := h.Device(cube)
 		for li := range d.Links {
 			l := &d.Links[li]
-			if err := verifyQueue(l.RqstQ, fmt.Sprintf("dev %d link %d rqst", cube, li), true, cfg); err != nil {
+			if err := a.queue(l.RqstQ, fmt.Sprintf("dev %d link %d rqst", cube, li), true); err != nil {
 				return err
 			}
-			if err := verifyQueue(l.RspQ, fmt.Sprintf("dev %d link %d rsp", cube, li), false, cfg); err != nil {
+			if err := a.queue(l.RspQ, fmt.Sprintf("dev %d link %d rsp", cube, li), false); err != nil {
 				return err
+			}
+			if p := h.RetryPacket(cube, li); p != nil {
+				if err := a.hold(p, fmt.Sprintf("dev %d link %d retry buffer", cube, li)); err != nil {
+					return err
+				}
 			}
 		}
 		for vi := range d.Vaults {
 			v := &d.Vaults[vi]
 			name := fmt.Sprintf("dev %d vault %d rqst", cube, vi)
-			if err := verifyQueue(v.RqstQ, name, true, cfg); err != nil {
+			if err := a.queue(v.RqstQ, name, true); err != nil {
 				return err
 			}
 			// Vault request queues only hold packets for this vault.
 			for i := 0; i < v.RqstQ.Len(); i++ {
-				s := v.RqstQ.At(i)
-				p := s.Packet
+				p := v.RqstQ.At(i)
 				if p.Cmd().IsMode() {
 					return fmt.Errorf("check: %s slot %d holds a mode request", name, i)
 				}
@@ -65,11 +77,11 @@ func Verify(h *core.HMC) error {
 				if dec.Bank < 0 || dec.Bank >= cfg.NumBanks {
 					return fmt.Errorf("check: %s slot %d bank %d out of range", name, i, dec.Bank)
 				}
-				if bank, ok := s.Bank(); ok && bank != dec.Bank {
+				if bank, ok := v.RqstQ.Tag(i).Bank(); ok && bank != dec.Bank {
 					return fmt.Errorf("check: %s slot %d caches bank %d, packet decodes to bank %d", name, i, bank, dec.Bank)
 				}
 			}
-			if err := verifyQueue(v.RspQ, fmt.Sprintf("dev %d vault %d rsp", cube, vi), false, cfg); err != nil {
+			if err := a.queue(v.RspQ, fmt.Sprintf("dev %d vault %d rsp", cube, vi), false); err != nil {
 				return err
 			}
 		}
@@ -112,7 +124,7 @@ func verifyOccupancy(h *core.HMC) error {
 			return fmt.Errorf("check: dev %d: occupancy index says %+v, the queues say %+v", cube, got, want)
 		}
 		for li := 0; li < cfg.NumLinks; li++ {
-			if h.RetryBuffered(cube, li) {
+			if h.RetryPacket(cube, li) != nil {
 				pending++
 			}
 		}
@@ -123,18 +135,38 @@ func verifyOccupancy(h *core.HMC) error {
 	return nil
 }
 
-func verifyQueue(q *queue.Queue, name string, wantRequests bool, cfg core.Config) error {
+// auditor carries what Verify checks across queues: the configuration,
+// the device clock, and where each packet seen so far is held.
+type auditor struct {
+	cfg  core.Config
+	clk  uint64
+	held map[*packet.Packet]string
+}
+
+// hold records that p is held at where, failing if it is held elsewhere
+// already.
+func (a *auditor) hold(p *packet.Packet, where string) error {
+	if prev, ok := a.held[p]; ok {
+		return fmt.Errorf("check: %s holds the packet %s holds", where, prev)
+	}
+	a.held[p] = where
+	return nil
+}
+
+func (a *auditor) queue(q *queue.Queue, name string, wantRequests bool) error {
 	if q.Len() > q.Depth() {
 		return fmt.Errorf("check: %s occupancy %d exceeds depth %d", name, q.Len(), q.Depth())
 	}
+	if err := q.Audit(); err != nil {
+		return fmt.Errorf("check: %s: %w", name, err)
+	}
 	for i := 0; i < q.Len(); i++ {
-		s := q.At(i)
-		if s == nil || !s.Valid {
-			return fmt.Errorf("check: %s slot %d invalid but within Len", name, i)
+		p := q.At(i)
+		if err := a.hold(p, fmt.Sprintf("%s slot %d", name, i)); err != nil {
+			return err
 		}
-		p := s.Packet
-		if p == nil {
-			return fmt.Errorf("check: %s slot %d valid but holds no packet", name, i)
+		if p.Arrived > a.clk {
+			return fmt.Errorf("check: %s slot %d arrived at cycle %d, after the clock %d", name, i, p.Arrived, a.clk)
 		}
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("check: %s slot %d: %w", name, i, err)
@@ -146,11 +178,11 @@ func verifyQueue(q *queue.Queue, name string, wantRequests bool, cfg core.Config
 		if !wantRequests && !cmd.IsResponse() {
 			return fmt.Errorf("check: %s slot %d holds %v (not a response)", name, i, cmd)
 		}
-		if int(p.SLID()) >= cfg.NumLinks {
+		if int(p.SLID()) >= a.cfg.NumLinks {
 			return fmt.Errorf("check: %s slot %d SLID %d out of range", name, i, p.SLID())
 		}
 		if wantRequests {
-			if dest := int(p.CUB()); dest > cfg.NumDevs {
+			if dest := int(p.CUB()); dest > a.cfg.NumDevs {
 				return fmt.Errorf("check: %s slot %d CUB %d beyond host ID", name, i, dest)
 			}
 		}

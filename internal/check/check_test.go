@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hmcsim/internal/core"
@@ -122,8 +123,7 @@ func TestVerifyDetectsCorruptedPacket(t *testing.T) {
 		t.Fatalf("clean queue flagged: %v", err)
 	}
 	// Flip a payload bit in place: the CRC check must catch it.
-	slot := h.Device(0).Links[0].RqstQ.At(0)
-	slot.Packet.Words()[0] ^= 1 << 40
+	h.Device(0).Links[0].RqstQ.At(0).Words()[0] ^= 1 << 40
 	if err := Verify(h); err == nil {
 		t.Error("corrupted packet not detected")
 	}
@@ -151,11 +151,11 @@ func TestVerifyCatchesUnfinalizedMutation(t *testing.T) {
 	}
 	for _, l := range []int{0, 1} {
 		q := h.Device(0).Links[l].RqstQ
-		q.At(0).Packet.SetCUB(1)
+		q.At(0).SetCUB(1)
 		if err := Verify(h); !errors.Is(err, packet.ErrBadCRC) {
 			t.Errorf("link %d: CUB rewritten without Finalize: Verify = %v, want ErrBadCRC", l, err)
 		}
-		q.At(0).Packet.Finalize()
+		q.At(0).Finalize()
 		if err := Verify(h); err != nil {
 			t.Fatalf("link %d: after Finalize: %v", l, err)
 		}
@@ -194,13 +194,72 @@ func TestVerifyDetectsStaleCachedBank(t *testing.T) {
 	if err := Verify(h); err != nil {
 		t.Fatalf("slot without a cached bank rejected: %v", err)
 	}
-	q.At(0).SetBank(0)
+	q.Tag(0).SetBank(0)
 	if err := Verify(h); err != nil {
 		t.Fatalf("correctly cached bank rejected: %v", err)
 	}
-	q.At(0).SetBank(5)
+	q.Tag(0).SetBank(5)
 	if err := Verify(h); err == nil {
 		t.Error("cached bank that disagrees with the packet's address not detected")
+	}
+}
+
+// TestVerifyDetectsAliasedPacket pushes one packet into two queues: its
+// arrival clock and retry count can describe only one stay, so Verify
+// must reject the second holder, whichever queue it is.
+func TestVerifyDetectsAliasedPacket(t *testing.T) {
+	h := newSimple(t)
+	_ = h.Clock() // seal
+	p, err := packet.BuildRequest(packet.Request{CUB: 0, Addr: 0x40, Tag: 1, Cmd: packet.CmdRD16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := h.Device(0)
+	if err := d.Links[0].RqstQ.Push(&p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(h); err != nil {
+		t.Fatalf("one holder flagged: %v", err)
+	}
+	if err := d.Links[2].RqstQ.Push(&p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(h); err == nil || !strings.Contains(err.Error(), "holds the packet") {
+		t.Errorf("packet held by two queues: Verify = %v", err)
+	}
+}
+
+// TestVerifyDetectsQueueHoles covers the ring audit and the arrival
+// stamp: a slot within the queue's length emptied without a Compact,
+// and a packet stamped after the device clock, both fail Verify.
+func TestVerifyDetectsQueueHoles(t *testing.T) {
+	h := newSimple(t)
+	_ = h.Clock() // seal
+	pkts := make([]packet.Packet, 2)
+	q := h.Device(0).Links[0].RqstQ
+	for i := range pkts {
+		var err error
+		if pkts[i], err = packet.BuildRequest(packet.Request{CUB: 0, Addr: 0x40, Tag: uint16(i), Cmd: packet.CmdRD16}); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Push(&pkts[i], h.Clk()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Verify(h); err != nil {
+		t.Fatalf("clean queue flagged: %v", err)
+	}
+	q.Retire(0)
+	if err := Verify(h); err == nil || !strings.Contains(err.Error(), "holds no packet") {
+		t.Errorf("retired slot left inside the queue: Verify = %v", err)
+	}
+	q.Compact(1)
+	if err := Verify(h); err != nil {
+		t.Fatalf("compacted queue flagged: %v", err)
+	}
+	q.At(0).Arrived = h.Clk() + 1
+	if err := Verify(h); err == nil || !strings.Contains(err.Error(), "after the clock") {
+		t.Errorf("arrival stamp past the clock: Verify = %v", err)
 	}
 }
 

@@ -119,14 +119,12 @@ func checkpointQueue(q *queue.Queue) []SlotCheckpoint {
 	}
 	out := make([]SlotCheckpoint, n)
 	for i := 0; i < n; i++ {
-		s := q.At(i)
-		words := s.Packet.Words()
-		sc := SlotCheckpoint{
-			Words:    append([]uint64(nil), words...),
-			Deferred: s.Deferred, Moved: s.Moved,
-			Retries: s.Retries, Arrived: s.Arrived,
+		p, tag := q.At(i), *q.Tag(i)
+		out[i] = SlotCheckpoint{
+			Words:    append([]uint64(nil), p.Words()...),
+			Deferred: tag.Deferred(), Moved: tag.Moved(),
+			Retries: p.Retries, Arrived: p.Arrived,
 		}
-		out[i] = sc
 	}
 	return out
 }
@@ -217,11 +215,14 @@ func (h *HMC) restoreQueue(q *queue.Queue, slots []SlotCheckpoint, where string)
 		if err := q.Push(p, sc.Arrived); err != nil {
 			return fmt.Errorf("%w: %s slot %d: %v", ErrCheckpoint, where, i, err)
 		}
-		s := q.At(i)
-		s.Deferred = sc.Deferred
-		s.Moved = sc.Moved
-		s.Retries = sc.Retries
-		s.Arrived = sc.Arrived
+		p.Retries = sc.Retries
+		tag := q.Tag(i)
+		if sc.Deferred {
+			tag.MarkDeferred()
+		}
+		if sc.Moved {
+			tag.MarkMoved()
+		}
 	}
 	return nil
 }

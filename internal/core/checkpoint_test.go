@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"testing"
 
+	"hmcsim/internal/addr"
 	"hmcsim/internal/fault"
 	"hmcsim/internal/packet"
+	"hmcsim/internal/topo"
 )
 
 // pumpRequests injects a deterministic read/write mixture on every host
@@ -218,5 +222,135 @@ func TestRestoreRejectsBadTargets(t *testing.T) {
 	}
 	if err := newSimple(t, cfg).Restore(mangled); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("Restore of mangled packet: %v, want ErrCheckpoint", err)
+	}
+}
+
+// pumpLinks injects two requests per cycle on each of the given host
+// links of device 0, built by mk from a running sequence number, and
+// drains those links' responses, for the given number of cycles.
+func pumpLinks(t *testing.T, h *HMC, links []int, cycles int, seq *uint64, mk func(s uint64) packet.Request) {
+	t.Helper()
+	for c := 0; c < cycles; c++ {
+		for _, l := range links {
+			for i := 0; i < 2; i++ {
+				s := *seq
+				*seq++
+				if err := h.SendRequest(0, l, mk(s)); err != nil {
+					if errors.Is(err, ErrStall) || errors.Is(err, ErrLinkFailed) {
+						break
+					}
+					t.Fatal(err)
+				}
+			}
+			for {
+				if _, err := h.RecvPacket(0, l); err != nil {
+					break
+				}
+			}
+		}
+		if err := h.Clock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// mixedRequest is a 64-byte write for every third s and a 64-byte read
+// otherwise.
+func mixedRequest(s uint64, cub uint8, addr uint64) packet.Request {
+	if s%3 == 0 {
+		return packet.Request{CUB: cub, Addr: addr, Tag: uint16(s % 256), Cmd: packet.CmdWR64, Data: make([]uint64, 8)}
+	}
+	return packet.Request{CUB: cub, Addr: addr, Tag: uint16(s % 256), Cmd: packet.CmdRD64}
+}
+
+// TestCheckpointBytesPinned pins the JSON bytes of two mid-run
+// checkpoints whose queue slots carry all four per-slot fields: a single
+// cube pumped into bank contention (deferred), and a 2-cube chain with a
+// 3-cycle link latency and transient faults, whose pass-through links
+// hold dwelling (arrived), freshly forwarded (moved) and replayed
+// (retries) packets. The slot bookkeeping may move around inside the
+// engine; what a checkpoint records of it may not. Restoring each
+// checkpoint and capturing again gives the same bytes.
+func TestCheckpointBytesPinned(t *testing.T) {
+	chainCfg := checkpointConfig()
+	chainCfg.NumDevs, chainCfg.LinkLatency = 2, 3
+	chainCfg.Fault.TransientPPM = 100000
+	cases := []struct {
+		name  string
+		build func(t *testing.T) *HMC
+		pump  func(t *testing.T, h *HMC, cycles int, seq *uint64)
+		warm  int
+		want  uint64
+	}{
+		// Every request decodes to bank 0 or 1 of vault 0 or 1, so vault
+		// request queues fill and most requests lose bank arbitration.
+		{"contention", func(t *testing.T) *HMC { return newSimple(t, checkpointConfig()) },
+			func(t *testing.T, h *HMC, cycles int, seq *uint64) {
+				pumpLinks(t, h, []int{0, 1, 2, 3}, cycles, seq, func(s uint64) packet.Request {
+					return mixedRequest(s, 0, h.Device(0).Map.Encode(addr.Decoded{Vault: int(s % 2), Bank: int(s / 2 % 2), DRAM: s * 4}))
+				})
+			}, 12, 0x7f537e4780be7c9c},
+		{"chain", func(t *testing.T) *HMC {
+			h, err := New(chainCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := topo.Chain(2, chainCfg.NumLinks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.UseTopology(ch); err != nil {
+				t.Fatal(err)
+			}
+			return h
+		},
+			// Device 0's host links are 1-3; every other request is for
+			// cube 1, across the pass-through link.
+			func(t *testing.T, h *HMC, cycles int, seq *uint64) {
+				pumpLinks(t, h, []int{1, 2, 3}, cycles, seq, func(s uint64) packet.Request {
+					return mixedRequest(s, uint8(s%2), (s*0x9E37*64)%(1<<28))
+				})
+			}, 14, 0x73ecc7e8eaa7fd24},
+	}
+	seen := map[string]bool{}
+	for _, c := range cases {
+		h := c.build(t)
+		var seq uint64
+		c.pump(t, h, c.warm, &seq)
+		b, err := json.Marshal(h.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []string{"deferred", "moved", "retries", "arrived"} {
+			if n := bytes.Count(b, []byte(`"`+f+`":`)); n > 0 {
+				seen[f] = true
+				t.Logf("%s: %d slots carry %q", c.name, n, f)
+			}
+		}
+		sum := fnv.New64a()
+		sum.Write(b)
+		if got := sum.Sum64(); got != c.want {
+			t.Errorf("%s: checkpoint JSON hashes to %#x, want %#x (%d bytes)", c.name, got, c.want, len(b))
+		}
+		wire := new(Checkpoint)
+		if err := json.Unmarshal(b, wire); err != nil {
+			t.Fatal(err)
+		}
+		r := c.build(t)
+		if err := r.Restore(wire); err != nil {
+			t.Fatalf("%s: Restore: %v", c.name, err)
+		}
+		again, err := json.Marshal(r.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Errorf("%s: restore then checkpoint changed the bytes", c.name)
+		}
+	}
+	for _, f := range []string{"deferred", "moved", "retries", "arrived"} {
+		if !seen[f] {
+			t.Errorf("no checkpointed slot carries %q", f)
+		}
 	}
 }

@@ -130,8 +130,8 @@ func (h *HMC) regsClean() bool {
 	return true
 }
 
-// clearCycleFlags resets the Deferred and Moved marks of every queued
-// packet.
+// clearCycleFlags resets the deferred and moved marks of every queued
+// packet: a pass over the tag rings of the occupied queues.
 func (h *HMC) clearCycleFlags() {
 	for i, d := range h.devs {
 		o := &h.occ[i]
@@ -156,7 +156,7 @@ func pushMoved(q *queue.Queue, p *packet.Packet, clk uint64) error {
 	if err := q.Push(p, clk); err != nil {
 		return err
 	}
-	q.At(q.Len() - 1).Moved = true
+	q.Tag(q.Len() - 1).MarkMoved()
 	return nil
 }
 
@@ -299,12 +299,11 @@ func (h *HMC) xbarRequestStage(cube int) {
 		blockedRemote := false
 		i := 0
 		for i < q.Len() {
-			s := q.At(i)
-			if s.Moved {
+			if q.Tag(i).Moved() {
 				i++
 				continue
 			}
-			p := s.Packet
+			p := q.At(i)
 			dest := int(p.CUB())
 			if h.cfg.XbarPassing {
 				if dest == cube && !p.Cmd().IsMode() &&
@@ -372,7 +371,7 @@ const (
 func (h *HMC) deliverLocal(d *device.Device, li, slot int) stageOutcome {
 	l := &d.Links[li]
 	q := l.RqstQ
-	p := q.At(slot).Packet
+	p := q.At(slot)
 	cmd := p.Cmd()
 
 	// Mode requests are serviced by the logic base, not a vault.
@@ -420,7 +419,7 @@ func (h *HMC) deliverLocal(d *device.Device, li, slot int) stageOutcome {
 	}
 	// The bank is already decoded here; caching it in the slot saves the
 	// conflict stage a decode per cycle the request waits.
-	v.RqstQ.At(v.RqstQ.Len() - 1).SetBank(dec.Bank)
+	v.RqstQ.Tag(v.RqstQ.Len() - 1).SetBank(dec.Bank)
 	cs := &h.cubeStats[d.ID]
 	cs.Delivered++
 	switch {
@@ -439,7 +438,7 @@ func (h *HMC) deliverLocal(d *device.Device, li, slot int) stageOutcome {
 // an error response when the destination is invalid or unreachable.
 func (h *HMC) forwardRemote(d *device.Device, li, slot int, dest int) stageOutcome {
 	q := d.Links[li].RqstQ
-	p := q.At(slot).Packet
+	p := q.At(slot)
 	if dest < 0 || dest >= h.cfg.NumDevs {
 		// The destination names the host or a nonexistent cube.
 		return h.errorAt(d, li, slot, packet.ErrStatCube)
@@ -450,7 +449,7 @@ func (h *HMC) forwardRemote(d *device.Device, li, slot int, dest int) stageOutco
 		// structure rather than failing the simulation.
 		return h.errorAt(d, li, slot, packet.ErrStatTopology)
 	}
-	if lat := uint64(h.cfg.LinkLatency); lat > 1 && h.clk-q.At(slot).Arrived < lat {
+	if lat := uint64(h.cfg.LinkLatency); lat > 1 && h.clk-p.Arrived < lat {
 		// Per-hop link latency: the packet dwells at its queue head
 		// until the modeled flight time elapses. Arrival stamps are
 		// non-decreasing along a FIFO, so stalling here never starves a
@@ -487,17 +486,16 @@ func (h *HMC) forwardRemote(d *device.Device, li, slot int, dest int) stageOutco
 	if h.faultTransient(p) {
 		// CRC-corrupt transfer: the link controller replays it from its
 		// retry buffer — one cycle of delay per attempt, bounded.
-		s := q.At(slot)
-		s.Retries++
+		p.Retries++
 		h.stats.LinkRetransmits++
 		if h.mask&trace.KindRetry != 0 {
 			h.emit(trace.Event{
 				Kind: trace.KindRetry, Dev: d.ID, Link: el, Quad: trace.None,
 				Vault: trace.None, Bank: trace.None, Addr: p.Addr(), Tag: p.Tag(),
-				Cmd: p.Cmd().String(), Aux: uint64(s.Retries),
+				Cmd: p.Cmd().String(), Aux: uint64(p.Retries),
 			})
 		}
-		if int(s.Retries) > h.fault.MaxRetries() {
+		if int(p.Retries) > h.fault.MaxRetries() {
 			return h.errorAt(d, li, slot, packet.ErrStatLinkCRC)
 		}
 		return outcomeStall
@@ -537,7 +535,7 @@ func (h *HMC) forwardRemote(d *device.Device, li, slot int, dest int) stageOutco
 func (h *HMC) serviceMode(d *device.Device, li, slot int) stageOutcome {
 	l := &d.Links[li]
 	q := l.RqstQ
-	p := q.At(slot).Packet
+	p := q.At(slot)
 	if l.RspQ.Full() {
 		h.stats.XbarRspStalls++
 		if h.mask&trace.KindXbarRspStall != 0 {
@@ -592,7 +590,7 @@ func (h *HMC) serviceMode(d *device.Device, li, slot int) stageOutcome {
 func (h *HMC) errorAt(d *device.Device, li, slot int, errStat uint8) stageOutcome {
 	l := &d.Links[li]
 	q := l.RqstQ
-	p := q.At(slot).Packet
+	p := q.At(slot)
 	if p.Cmd().IsPosted() {
 		// Posted requests receive no responses, even on error — their tags
 		// are recycled by the host the moment Send accepts them, so an
@@ -676,12 +674,11 @@ func (h *HMC) responseStage(cube int) {
 		q := d.Links[li].RspQ
 		i := 0
 		for i < q.Len() {
-			s := q.At(i)
-			if s.Moved {
+			if q.Tag(i).Moved() {
 				i++
 				continue
 			}
-			p := s.Packet
+			p := q.At(i)
 			out, _ := h.responseEgress(cube, p)
 			if out < 0 || out == li {
 				// No surviving path back to any host.
@@ -707,7 +704,7 @@ func (h *HMC) responseStage(cube int) {
 	for vi := nextBit(o.vrsp, 0); vi < 64; vi = nextBit(o.vrsp, vi+1) {
 		v := &d.Vaults[vi]
 		for v.RspQ.Len() > 0 {
-			p := v.RspQ.Head().Packet
+			p := v.RspQ.Head()
 			out, rerouted := h.responseEgress(cube, p)
 			if out < 0 {
 				// Zombie response: no path back to any host. Drop it and
@@ -766,13 +763,12 @@ func (h *HMC) responseStage(cube int) {
 		q := l.RspQ
 		i := 0
 		for i < q.Len() {
-			s := q.At(i)
-			if s.Moved {
+			if q.Tag(i).Moved() {
 				i++
 				continue
 			}
-			p := s.Packet
-			if lat := uint64(h.cfg.LinkLatency); lat > 1 && h.clk-s.Arrived < lat {
+			p := q.At(i)
+			if lat := uint64(h.cfg.LinkLatency); lat > 1 && h.clk-p.Arrived < lat {
 				// Per-hop link latency on the response path mirrors the
 				// request-side dwell; FIFO arrival order makes the stall
 				// safe for the whole queue.
@@ -812,16 +808,16 @@ func (h *HMC) responseStage(cube int) {
 				// buffer, bounded. An exhausted budget converts the
 				// response in place to an ERROR response (the payload is
 				// unrecoverable, but the tag still reaches the host).
-				s.Retries++
+				p.Retries++
 				h.stats.LinkRetransmits++
 				if h.mask&trace.KindRetry != 0 {
 					h.emit(trace.Event{
 						Kind: trace.KindRetry, Dev: cube, Link: li, Quad: trace.None,
 						Vault: trace.None, Bank: trace.None, Tag: p.Tag(),
-						Cmd: p.Cmd().String(), Aux: uint64(s.Retries),
+						Cmd: p.Cmd().String(), Aux: uint64(p.Retries),
 					})
 				}
-				if int(s.Retries) > h.fault.MaxRetries() {
+				if int(p.Retries) > h.fault.MaxRetries() {
 					h.stats.Errors++
 					h.stats.ErrorResponses++
 					if h.mask&trace.KindError != 0 {
@@ -833,7 +829,7 @@ func (h *HMC) responseStage(cube int) {
 						})
 					}
 					packet.ErrorResponseInto(p, p, uint8(cube), packet.ErrStatLinkCRC)
-					s.Retries = 0
+					p.Retries = 0
 				}
 				i = q.Len()
 				continue

@@ -55,12 +55,12 @@ func (h *HMC) StateDigest() uint64 {
 			w64(l.ReqFlits)
 			w64(l.RspFlits)
 			for i := 0; i < l.RqstQ.Len(); i++ {
-				for _, word := range l.RqstQ.At(i).Packet.Words() {
+				for _, word := range l.RqstQ.At(i).Words() {
 					w64(word)
 				}
 			}
 			for i := 0; i < l.RspQ.Len(); i++ {
-				for _, word := range l.RspQ.At(i).Packet.Words() {
+				for _, word := range l.RspQ.At(i).Words() {
 					w64(word)
 				}
 			}
@@ -68,12 +68,12 @@ func (h *HMC) StateDigest() uint64 {
 		for vi := range dev.Vaults {
 			v := &dev.Vaults[vi]
 			for i := 0; i < v.RqstQ.Len(); i++ {
-				for _, word := range v.RqstQ.At(i).Packet.Words() {
+				for _, word := range v.RqstQ.At(i).Words() {
 					w64(word)
 				}
 			}
 			for i := 0; i < v.RspQ.Len(); i++ {
-				for _, word := range v.RspQ.At(i).Packet.Words() {
+				for _, word := range v.RspQ.At(i).Words() {
 					w64(word)
 				}
 			}

@@ -34,7 +34,7 @@ func eachQueued(h *core.HMC, fn func(*packet.Packet)) {
 		}
 		for _, q := range qs {
 			for i := 0; i < q.Len(); i++ {
-				fn(q.At(i).Packet)
+				fn(q.At(i))
 			}
 		}
 	}

@@ -443,7 +443,7 @@ func TestRejectedSendRequestDrawsNoSequence(t *testing.T) {
 	req := packet.Request{Cmd: packet.CmdRD16}
 	seqOfNewest := func() uint8 {
 		q := h.Device(0).Links[0].RqstQ
-		return q.At(q.Len() - 1).Packet.Seq()
+		return q.At(q.Len() - 1).Seq()
 	}
 
 	if err := h.SendRequest(0, 0, req); err != nil {

@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"hmcsim/internal/packet"
+)
 
 // This file holds the occupancy index (DESIGN.md §9): one bit per queue,
 // set exactly while the queue holds a packet, so that everything the
@@ -74,8 +78,11 @@ func (h *HMC) OccupancyIndex() (devs []OccupancyWords, retries int) {
 	return devs, h.retryPending
 }
 
-// RetryBuffered reports whether the link controller of the given link
-// holds a transfer awaiting retransmission.
-func (h *HMC) RetryBuffered(dev, link int) bool {
-	return dev >= 0 && dev < len(h.retry) && link >= 0 && link < len(h.retry[dev]) && h.retry[dev][link].pending
+// RetryPacket returns the transfer the link controller of the given link
+// holds for retransmission, or nil when its retry buffer is empty.
+func (h *HMC) RetryPacket(dev, link int) *packet.Packet {
+	if dev < 0 || dev >= len(h.retry) || link < 0 || link >= len(h.retry[dev]) || !h.retry[dev][link].pending {
+		return nil
+	}
+	return h.retry[dev][link].packet
 }

@@ -61,19 +61,18 @@ func (h *HMC) conflictVault(d *device.Device, vi int) {
 	win := h.win[u*h.winCap : (u+1)*h.winCap]
 	won := 0
 	for i := 0; i < n; i++ {
-		s := q.At(i)
-		p := s.Packet
-		bank, ok := s.Bank()
+		tag := q.Tag(i)
+		bank, ok := tag.Bank()
 		if !ok {
 			// First look at a slot that did not come through deliverLocal
 			// (a restored checkpoint, a test pushing straight into the
 			// queue): decode once and cache.
-			bank = d.Map.Decode(p.Addr()).Bank
-			s.SetBank(bank)
+			bank = d.Map.Decode(q.At(i).Addr()).Bank
+			tag.SetBank(bank)
 		}
 		bit := uint64(1) << uint(bank)
 		if claimed&bit != 0 {
-			s.Deferred = true
+			tag.MarkDeferred()
 			if refreshing&bit != 0 {
 				// The bank is unavailable while refreshing; the
 				// request waits without counting as a conflict
@@ -83,6 +82,7 @@ func (h *HMC) conflictVault(d *device.Device, vi int) {
 			}
 			h.stats.BankConflicts++
 			if h.mask&trace.KindBankConflict != 0 {
+				p := q.At(i)
 				h.emit(trace.Event{
 					Kind: trace.KindBankConflict, Dev: d.ID, Link: trace.None,
 					Quad: v.Quad, Vault: vi, Bank: bank,
@@ -117,8 +117,7 @@ func (h *HMC) vaultOne(d *device.Device, vi int) {
 	// usually has only a prefix of the window to visit.
 	retired := 0
 	for _, i := range h.win[u*h.winCap : u*h.winCap+int(h.winN[u])] {
-		s := q.At(int(i))
-		p := s.Packet
+		p := q.At(int(i))
 		cmd := p.Cmd()
 		if !cmd.IsPosted() && v.RspQ.Full() {
 			// Preserve response ordering: a full response queue
@@ -135,7 +134,7 @@ func (h *HMC) vaultOne(d *device.Device, vi int) {
 			break
 		}
 		moved := h.serviceVaultRequest(d, v, vi, p)
-		*s = queue.Slot{}
+		q.Retire(int(i))
 		retired = int(i) + 1
 		if !moved {
 			// Posted request (or the buffer was otherwise consumed): the

@@ -76,10 +76,10 @@ func (h *HMC) AdvanceIdle(target uint64) uint64 {
 		return 0
 	}
 	skipped := to - h.clk
-	// Each walked inert cycle would have cleared the per-cycle Moved
-	// flags and set none; one clear reproduces the walk's end state, so
-	// checkpoints taken after a skip match checkpoints taken after the
-	// equivalent walk.
+	// Each walked inert cycle would have cleared the per-cycle moved
+	// marks and set none; one clear of the occupied queues' tag rings
+	// reproduces the walk's end state, so checkpoints taken after a skip
+	// match checkpoints taken after the equivalent walk.
 	h.clearCycleFlags()
 	h.clk = to
 	h.skip.IdleCyclesSkipped += skipped
@@ -134,8 +134,8 @@ func (h *HMC) nextWakeup() (wake uint64, ok bool) {
 			if !l.Active {
 				return 0, false
 			}
-			head := l.RqstQ.At(0)
-			dest := int(head.Packet.CUB())
+			head := l.RqstQ.Head()
+			dest := int(head.CUB())
 			if dest == d.ID || dest < 0 || dest >= h.cfg.NumDevs {
 				// Local delivery (or an error response for an invalid
 				// cube) happens next cycle.
@@ -155,7 +155,7 @@ func (h *HMC) nextWakeup() (wake uint64, ok bool) {
 				// A local-bound packet behind the head may pass the
 				// stalled remote forward and act immediately.
 				for i, n := 1, l.RqstQ.Len(); i < n; i++ {
-					if int(l.RqstQ.At(i).Packet.CUB()) == d.ID {
+					if int(l.RqstQ.At(i).CUB()) == d.ID {
 						return 0, false
 					}
 				}
@@ -183,8 +183,7 @@ func (h *HMC) nextWakeup() (wake uint64, ok bool) {
 				// register edge; progress is unbounded.
 				return 0, false
 			}
-			head := l.RspQ.At(0)
-			w := head.Arrived + lat
+			w := l.RspQ.Head().Arrived + lat
 			if w <= h.clk {
 				return 0, false
 			}

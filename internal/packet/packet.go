@@ -119,9 +119,17 @@ type Packet struct {
 	// crcDue marks a packet built in place (BuildRequestInto,
 	// BuildResponseInto) whose CRC field is still zero: the stamp is
 	// computed from the words when they are first read (Words,
-	// VerifyCRC), not when they are written. It packs beside words, so
-	// a Packet stays 152 bytes.
+	// VerifyCRC), not when they are written. It packs beside words.
 	crcDue bool
+	// Retries counts the transparent link-level retransmissions the
+	// packet has consumed on its current hop (fault model); it persists
+	// across clock edges until the packet moves on. Arrived records the
+	// device clock at which the packet entered the queue holding it, for
+	// the link-latency dwell and the idle-skip wheel. queue.Queue.Push
+	// stamps both; neither is part of the packet's words or of any
+	// digest. A Packet is 160 bytes.
+	Retries uint8
+	Arrived uint64
 }
 
 // Words returns the packet contents as a slice of 64-bit words backed by

@@ -8,6 +8,15 @@ import (
 	"hmcsim/internal/packet"
 )
 
+// MustNew is New for statically valid depths; it panics on error.
+func MustNew(depth int) *Queue {
+	q, err := New(depth)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 func mkpkt(t *testing.T, tag uint16) *packet.Packet {
 	t.Helper()
 	p, err := packet.BuildRequest(packet.Request{Cmd: packet.CmdRD16, Tag: tag, Addr: uint64(tag) * 64})
@@ -96,21 +105,21 @@ func TestAt(t *testing.T) {
 	_ = q.Push(mkpkt(t, 4), 0)
 	want := []uint16{2, 3, 4}
 	for i, w := range want {
-		s := q.At(i)
-		if s == nil || !s.Valid {
-			t.Fatalf("At(%d) = %v", i, s)
+		p := q.At(i)
+		if p == nil || q.Tag(i) == nil {
+			t.Fatalf("At(%d) = %v, Tag(%d) = %v", i, p, i, q.Tag(i))
 		}
-		if s.Packet.Tag() != w {
-			t.Errorf("At(%d).Tag = %d, want %d", i, s.Packet.Tag(), w)
+		if p.Tag() != w {
+			t.Errorf("At(%d).Tag = %d, want %d", i, p.Tag(), w)
 		}
 	}
-	if q.At(3) != nil {
-		t.Error("At past count should be nil")
+	if q.At(3) != nil || q.Tag(3) != nil {
+		t.Error("At/Tag past count should be nil")
 	}
-	if q.At(-1) != nil {
-		t.Error("At(-1) should be nil")
+	if q.At(-1) != nil || q.Tag(-1) != nil {
+		t.Error("At/Tag(-1) should be nil")
 	}
-	if h := q.Head(); h == nil || h.Packet.Tag() != 2 {
+	if h := q.Head(); h == nil || h.Tag() != 2 {
 		t.Errorf("Head() = %v", h)
 	}
 }
@@ -128,7 +137,7 @@ func TestRemoveMiddle(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", q.Len(), len(want))
 	}
 	for i, w := range want {
-		if got := q.At(i).Packet.Tag(); got != w {
+		if got := q.At(i).Tag(); got != w {
 			t.Errorf("after Remove: At(%d) = %d, want %d", i, got, w)
 		}
 	}
@@ -138,7 +147,7 @@ func TestRemoveMiddle(t *testing.T) {
 	}
 	want = []uint16{1, 3}
 	for i, w := range want {
-		if got := q.At(i).Packet.Tag(); got != w {
+		if got := q.At(i).Tag(); got != w {
 			t.Errorf("At(%d) = %d, want %d", i, got, w)
 		}
 	}
@@ -162,34 +171,54 @@ func TestRemoveWrapped(t *testing.T) {
 	}
 	want := []uint16{2, 4, 5}
 	for i, w := range want {
-		if got := q.At(i).Packet.Tag(); got != w {
+		if got := q.At(i).Tag(); got != w {
 			t.Errorf("At(%d) = %d, want %d", i, got, w)
 		}
 	}
 }
 
+// TestDeferredLifecycle: the deferred and moved marks live in the tag
+// ring and clear at the cycle edge; the cached bank beside them survives
+// it.
 func TestDeferredLifecycle(t *testing.T) {
 	q := MustNew(4)
 	_ = q.Push(mkpkt(t, 0), 0)
 	_ = q.Push(mkpkt(t, 1), 0)
-	q.At(1).Deferred = true
-	if !q.At(1).Deferred {
-		t.Fatal("Deferred not set")
+	if q.Tag(1).Deferred() || q.Tag(0).Moved() {
+		t.Fatal("a pushed slot starts marked")
 	}
-	q.At(0).Moved = true
+	q.Tag(1).MarkDeferred()
+	q.Tag(1).SetBank(5)
+	if !q.Tag(1).Deferred() || q.Tag(1).Moved() {
+		t.Fatal("MarkDeferred set the wrong mark")
+	}
+	q.Tag(0).MarkMoved()
+	if !q.Tag(0).Moved() || q.Tag(0).Deferred() {
+		t.Fatal("MarkMoved set the wrong mark")
+	}
 	q.ClearCycleFlags()
 	for i := 0; i < q.Len(); i++ {
-		if q.At(i).Deferred || q.At(i).Moved {
+		if q.Tag(i).Deferred() || q.Tag(i).Moved() {
 			t.Errorf("slot %d still flagged after ClearCycleFlags", i)
 		}
 	}
+	if bank, ok := q.Tag(1).Bank(); !ok || bank != 5 {
+		t.Errorf("ClearCycleFlags dropped the cached bank: %d, %v", bank, ok)
+	}
 }
 
+// TestArrivalClock: Push stamps the packet's arrival clock and zeroes the
+// retry count a previous hop left in it.
 func TestArrivalClock(t *testing.T) {
 	q := MustNew(2)
-	_ = q.Push(mkpkt(t, 7), 42)
+	p := mkpkt(t, 7)
+	p.Arrived, p.Retries = 3, 4
+	_ = q.Push(p, 42)
 	if got := q.Head().Arrived; got != 42 {
 		t.Errorf("Arrived = %d, want 42", got)
+	}
+	if got := q.Head().Retries; got != 0 {
+		t.Errorf("Retries = %d after Push, want 0", got)
 	}
 }
 
@@ -206,13 +235,14 @@ func TestReset(t *testing.T) {
 	if err := q.Push(mkpkt(t, 9), 0); err != nil {
 		t.Fatal(err)
 	}
-	if q.Head().Packet.Tag() != 9 {
+	if q.Head().Tag() != 9 {
 		t.Error("push after reset broken")
 	}
 }
 
 // modelSlot is what the reference model remembers of one queued packet:
-// everything a Slot carries besides the pointer itself.
+// its transaction tag, which identifies the packet, its slot tag's
+// fields, and the two fields Push stamps into the packet.
 type modelSlot struct {
 	tag             uint16
 	deferred, moved bool
@@ -225,9 +255,11 @@ type modelSlot struct {
 // push/pop/remove/compact/clear-flags sequence and checks it against a
 // plain-slice reference model: the depths the engine uses (and the
 // degenerate ones), started from every head position so each ring
-// operation is exercised across the wrap. Every other queue is bound to a
-// bit of an occupancy word whose other bits belong to someone else; the
-// rest stay as New made them, with no word to keep.
+// operation is exercised across the wrap. Every slot carries a random
+// tag, so the model checks that each tag stays with its packet through
+// every move of the two rings. Every other queue is bound to a bit of an
+// occupancy word whose other bits belong to someone else; the rest stay
+// as New made them, with no word to keep.
 func TestPropertyFIFOModel(t *testing.T) {
 	pkts := make([]*packet.Packet, 512)
 	for i := range pkts {
@@ -269,21 +301,23 @@ func TestPropertyFIFOModel(t *testing.T) {
 						t.Fatalf("depth %d start %d op %d: Push: %v", depth, start, op, err)
 					}
 					m := modelSlot{tag: tag, bank: -1, arrived: clk}
-					s := q.At(q.Len() - 1)
+					p, st := q.At(q.Len()-1), q.Tag(q.Len()-1)
 					// Decorate the new slot the way the engine's stages do.
 					if r.Intn(2) == 0 {
-						s.Deferred, m.deferred = true, true
+						st.MarkDeferred()
+						m.deferred = true
 					}
 					if r.Intn(2) == 0 {
-						s.Moved, m.moved = true, true
+						st.MarkMoved()
+						m.moved = true
 					}
 					if r.Intn(4) == 0 {
 						m.retries = uint8(1 + r.Intn(200))
-						s.Retries = m.retries
+						p.Retries = m.retries
 					}
 					if r.Intn(2) == 0 {
-						m.bank = r.Intn(64)
-						s.SetBank(m.bank)
+						m.bank = r.Intn(127)
+						st.SetBank(m.bank)
 					}
 					model = append(model, m)
 					tag = (tag + 1) % uint16(len(pkts))
@@ -316,7 +350,7 @@ func TestPropertyFIFOModel(t *testing.T) {
 					kept := make([]modelSlot, 0, len(model))
 					for i, m := range model {
 						if i < n && r.Intn(2) == 0 {
-							*q.At(i) = Slot{}
+							q.Retire(i)
 							continue
 						}
 						kept = append(kept, m)
@@ -344,8 +378,9 @@ func TestPropertyFIFOModel(t *testing.T) {
 }
 
 // checkAgainstModel compares every observable of q with the model, and
-// the unobservable one the ring relies on: slots outside the valid range
-// are zero, so no stale packet pointer outlives its slot.
+// the unobservable one the rings rely on: slots outside the valid range
+// hold nil and a zero tag, so no stale packet pointer or mark outlives
+// its slot.
 func checkAgainstModel(t *testing.T, q *Queue, model []modelSlot, depth int) {
 	t.Helper()
 	if q.Len() != len(model) || q.Free() != depth-len(model) ||
@@ -362,53 +397,73 @@ func checkAgainstModel(t *testing.T, q *Queue, model []modelSlot, depth int) {
 		t.Errorf("occupancy bit %#x of %#x with %d modelled slots", q.bit, *q.occ, len(model))
 	}
 	for i, m := range model {
-		s := q.At(i)
-		bank, ok := s.Bank()
-		if !s.Valid || s.Packet.Tag() != m.tag || s.Deferred != m.deferred ||
-			s.Moved != m.moved || s.Retries != m.retries || s.Arrived != m.arrived ||
+		p, st := q.At(i), q.Tag(i)
+		if p == nil || st == nil {
+			t.Errorf("slot %d: packet %v, tag %v", i, p, st)
+			continue
+		}
+		bank, ok := st.Bank()
+		if p.Tag() != m.tag || st.Deferred() != m.deferred ||
+			st.Moved() != m.moved || p.Retries != m.retries || p.Arrived != m.arrived ||
 			ok != (m.bank >= 0) || (ok && bank != m.bank) {
-			t.Errorf("slot %d = %+v, model %+v", i, *s, m)
+			t.Errorf("slot %d = packet %d tag %#x retries %d arrived %d, model %+v",
+				i, p.Tag(), uint16(*st), p.Retries, p.Arrived, m)
 		}
 	}
-	if q.At(len(model)) != nil || q.At(-1) != nil {
-		t.Error("At outside the valid range returned a slot")
+	if q.At(len(model)) != nil || q.At(-1) != nil || q.Tag(len(model)) != nil || q.Tag(-1) != nil {
+		t.Error("At or Tag outside the valid range returned a slot")
 	}
 	if (q.Head() == nil) != (len(model) == 0) || (len(model) > 0 && q.Head() != q.At(0)) {
 		t.Error("Head disagrees with At(0)")
 	}
 	for i := len(model); i < depth; i++ {
-		if s := q.slots[q.index(i)]; s != (Slot{}) {
-			t.Errorf("free slot %d not zero: %+v", i, s)
+		if j := q.index(i); q.pkts[j] != nil || q.tags[j] != 0 {
+			t.Errorf("free slot %d not zero: packet %v, tag %#x", i, q.pkts[j], uint16(q.tags[j]))
 		}
 	}
+	if err := q.Audit(); err != nil {
+		t.Error(err)
+	}
 }
 
-// TestSlotSize pins the slot footprint: queue storage is most of what an
-// engine build allocates, and the cached bank rides in existing padding.
+// TestSlotSize pins the slot footprint at 10 bytes, a packet reference
+// and a tag: queue storage is most of what an engine build allocates,
+// and the arrival clock and retry count ride in the packet instead.
 func TestSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(Slot{}); got != 32 {
-		t.Errorf("Slot is %d bytes, want 32", got)
+	var q Queue
+	if got := unsafe.Sizeof(q.pkts[:1][0]) + unsafe.Sizeof(q.tags[:1][0]); got != 10 {
+		t.Errorf("a slot is %d bytes, want 10", got)
 	}
 }
 
-// TestBankCache covers the cached bank's encoding edges.
+// TestBankCache covers the cached bank's encoding edges, and that the
+// bank field and the two marks leave each other alone.
 func TestBankCache(t *testing.T) {
-	var s Slot
-	if _, ok := s.Bank(); ok {
-		t.Error("zero slot reports a cached bank")
+	var tag Tag
+	if _, ok := tag.Bank(); ok {
+		t.Error("zero tag reports a cached bank")
 	}
-	for _, b := range []int{0, 1, 63, 254} {
-		s = Slot{}
-		s.SetBank(b)
-		if got, ok := s.Bank(); !ok || got != b {
+	for _, b := range []int{0, 1, 63, 126} {
+		tag = 0
+		tag.SetBank(b)
+		if got, ok := tag.Bank(); !ok || got != b {
 			t.Errorf("SetBank(%d) read back %d, %v", b, got, ok)
 		}
+		tag.MarkDeferred()
+		tag.MarkMoved()
+		if got, ok := tag.Bank(); !ok || got != b {
+			t.Errorf("marks clobbered bank %d: read back %d, %v", b, got, ok)
+		}
+		tag.SetBank(b ^ 1)
+		if !tag.Deferred() || !tag.Moved() {
+			t.Errorf("SetBank(%d) clobbered the marks: %#x", b^1, uint16(tag))
+		}
 	}
-	for _, b := range []int{-1, 255, 1024} {
-		s = Slot{}
-		s.SetBank(b)
-		if _, ok := s.Bank(); ok {
-			t.Errorf("SetBank(%d) cached a bank the byte cannot hold", b)
+	for _, b := range []int{-1, 127, 255, 1024} {
+		tag = 0
+		tag.SetBank(b)
+		if _, ok := tag.Bank(); ok || tag != 0 {
+			t.Errorf("SetBank(%d) cached a bank the 7-bit field cannot hold: %#x", b, uint16(tag))
 		}
 	}
 }
